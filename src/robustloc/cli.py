@@ -24,7 +24,6 @@ import numpy as np
 from .core import Instance, InvalidInstanceError, validate_instance
 from .dominance import (
     DeviationGrid,
-    GridAttackTarget,
     check_minimax_dominance,
     gen_fine_grid_attack,
     gen_finite_range_attack,
@@ -134,7 +133,9 @@ class ExperimentConfig:
                 objective=Objective(data["objective"]),
                 mechanisms=tuple(data["mechanisms"]),
                 oracle_step=(
-                    float(data["oracle_step"]) if data.get("oracle_step") else None
+                    float(data["oracle_step"])
+                    if data.get("oracle_step") is not None
+                    else None
                 ),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -176,12 +177,16 @@ def theoretical_bound(
     return None
 
 
-def _mechanism_spec(descriptor: dict, B: float, delta: float) -> MechanismSpec:
+def _mechanism_spec(
+    descriptor: dict, B: float, delta: float, spacing: float | None = None
+) -> MechanismSpec:
     kind = MechanismKind(descriptor["kind"])
     location = descriptor.get("location")
     if kind is MechanismKind.CONSTANT and location is None:
         location = B / 2.0
-    return MechanismSpec(kind=kind, B=B, delta=delta, location=location)
+    return MechanismSpec(
+        kind=kind, B=B, delta=delta, location=location, spacing=spacing
+    )
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -299,12 +304,12 @@ def _cmd_solve(args) -> int:
         "obj1": solved.certificate.obj1,
         "obj2": solved.certificate.obj2,
     }
-    if args.oracle_step:
+    if args.oracle_step is not None:
         oracle = grid_search_minimax(instance, objective, args.oracle_step)
         result["oracle_p"] = oracle.p_opt
         result["oracle_omv"] = oracle.omv
         result["oracle_agreement"] = abs(oracle.omv - solved.omv)
-    if args.brute_step:
+    if args.brute_step is not None:
         result["brute_force_max_regret_at_p_opt"] = brute_force_max_regret(
             instance, solved.p_opt, objective, args.brute_step
         )
@@ -312,26 +317,19 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _make_target(args, instance: Instance):
-    if args.spacing is not None:
-        return GridAttackTarget(B=instance.B, delta=instance.delta, spacing=args.spacing)
-    kind = MechanismKind(args.kind)
-    location = args.location
-    if kind is MechanismKind.CONSTANT and location is None:
-        location = instance.B / 2.0
-    return MechanismSpec(
-        kind=kind, B=instance.B, delta=instance.delta, location=location
+def _make_target(args, instance: Instance) -> MechanismSpec:
+    return _mechanism_spec(
+        {"kind": args.kind, "location": args.location},
+        instance.B,
+        instance.delta,
+        spacing=args.spacing,
     )
 
 
 def _cmd_mechanism(args) -> int:
     instance = load_instance(args.instance)
     target = _make_target(args, instance)
-    outcome = (
-        target.run(instance)
-        if isinstance(target, GridAttackTarget)
-        else run_mechanism(target, instance)
-    )
+    outcome = run_mechanism(target, instance)
     _emit(
         {
             "mechanism": target.name,
@@ -346,7 +344,7 @@ def _cmd_mechanism(args) -> int:
 def _cmd_audit(args) -> int:
     instance = load_instance(args.instance)
     target = _make_target(args, instance)
-    grid = DeviationGrid(endpoint_pitch=args.pitch) if args.pitch else None
+    grid = DeviationGrid(endpoint_pitch=args.pitch) if args.pitch is not None else None
     agents = [args.agent] if args.agent is not None else list(range(instance.n))
     reports = []
     any_violation = False
@@ -440,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--location", type=float, help="constant mechanism output")
     p.add_argument("--spacing", type=float,
-                   help="override: audit-style grid-median with this spacing")
+                   help="grid spacing for --kind equispaced-median "
+                        "(default delta/2)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_mechanism)
 
@@ -451,7 +450,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--agent", type=int)
     p.add_argument("--location", type=float)
     p.add_argument("--spacing", type=float,
-                   help="audit a grid-median attack target with this spacing")
+                   help="grid spacing for --kind equispaced-median "
+                        "(an attack target when below delta/2)")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when a violation is found")

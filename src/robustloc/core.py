@@ -151,11 +151,14 @@ def validate_instance(
 ) -> Instance:
     """Validate raw (a, b) pairs into an Instance, preserving input order.
 
-    Rejects an empty profile and any interval with a > b, a < 0, b > B or
-    width above ``delta``; the error message names the offending agent.
+    Rejects a non-finite ``B``, an empty profile and any interval with a NaN
+    endpoint, a > b, a < 0, b > B or width above ``delta``; the error
+    message names the offending agent.  Infinite endpoints fail the bounds.
     """
-    if not B > 0:
-        raise InvalidInstanceError(f"domain bound B must be positive, got {B}")
+    if not 0 < B < math.inf:
+        raise InvalidInstanceError(
+            f"domain bound B must be positive and finite, got {B}"
+        )
     if not 0 <= delta <= B:
         raise InvalidInstanceError(f"delta must lie in [0, B], got {delta}")
     if len(raw_intervals) == 0:
@@ -165,9 +168,14 @@ def validate_instance(
     slack = 1e-12 * max(B, 1.0)
     agents = []
     for i, (a, b) in enumerate(raw_intervals):
-        if a > b:
+        if not a <= b:  # also true when either endpoint is NaN
+            if a > b:
+                raise InvalidInstanceError(
+                    f"agent {i}: left endpoint {a} exceeds right endpoint {b}",
+                    agent=i,
+                )
             raise InvalidInstanceError(
-                f"agent {i}: left endpoint {a} exceeds right endpoint {b}", agent=i
+                f"agent {i}: NaN endpoint in ({a}, {b})", agent=i
             )
         if a < -slack:
             raise InvalidInstanceError(

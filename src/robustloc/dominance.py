@@ -22,25 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
-from .core import (
-    Grid,
-    Instance,
-    Interval,
-    build_grid,
-    merged_upper_median,
-    upper_median,
-    validate_instance,
-    _build_spaced_grid,
-)
-from .mechanisms import (
-    MechanismError,
-    MechanismKind,
-    MechanismOutcome,
-    MechanismSpec,
-    select_representative,
-)
+from .core import Instance, Interval, validate_instance
+from .mechanisms import MechanismKind, MechanismSpec
 from .regret import agent_max_regret
 
 __all__ = [
@@ -102,122 +87,32 @@ class AdversarialScript:
     params: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class GridAttackTarget:
-    """A grid-median mechanism with configurable spacing.
+def GridAttackTarget(B: float, delta: float, spacing: float) -> MechanismSpec:
+    """The grid median with a free ``spacing``: an audit target.
 
-    Behaves exactly like the equispaced median when ``spacing = delta/2``;
-    finer spacings make reports cover more than three grid points, where
-    the representative falls back to the left median of the covered points.
-    Offered as an audit target only: no dominance guarantee is claimed for
-    spacings below ``delta/2``.
+    Shorthand for ``MechanismSpec(EQUISPACED_MEDIAN, B, delta, spacing=...)``.
     """
-
-    B: float
-    delta: float
-    spacing: float
-
-    @property
-    def name(self) -> str:
-        return f"grid-median(spacing={self.spacing:g})"
-
-    def grid(self) -> Grid:
-        return _build_spaced_grid(self.B, self.spacing, anchor="zero")
-
-    def run(self, instance: Instance) -> MechanismOutcome:
-        if instance.delta > self.delta:
-            raise MechanismError(
-                f"instance delta={instance.delta} exceeds target delta={self.delta}"
-            )
-        grid = self.grid()
-        reps = tuple(
-            select_representative(iv, grid, allow_wide=True)
-            for iv in instance.agents
-        )
-        return MechanismOutcome(p=upper_median(reps), representatives=reps, grid=grid)
+    return MechanismSpec(MechanismKind.EQUISPACED_MEDIAN, B, delta, spacing=spacing)
 
 
 class _OutcomeOracle:
     """Fast outcomes when only one agent's report varies.
 
-    For grid mechanisms the other agents' representatives never change, so
-    each deviation costs one representative selection plus a merged-median
-    (or min/max) lookup instead of a full mechanism run.
+    The other agents' representatives never change, so each deviation
+    costs one representative selection plus one aggregation against their
+    cached sorted representatives instead of a full mechanism run.  The
+    mechanism's rules are resolved once, here, not per deviation.
     """
 
-    def __init__(self, target: MechanismSpec | GridAttackTarget, instance: Instance, agent: int):
-        self.target = target
-        self.instance = instance
-        self.agent = agent
-        self.B = target.B
-        others = [iv for i, iv in enumerate(instance.agents) if i != agent]
-        if isinstance(target, GridAttackTarget):
-            self._mode = "median"
-            self._grid = target.grid()
-            self._allow_wide = True
-            self._others = sorted(
-                select_representative(iv, self._grid, allow_wide=True) for iv in others
-            )
-        elif target.kind is MechanismKind.CONSTANT:
-            self._mode = "constant"
-            self._grid = None
-        elif target.kind in (MechanismKind.EXACT_MEDIAN, MechanismKind.EXACT_PHANTOM_HALF):
-            self._mode = (
-                "median" if target.kind is MechanismKind.EXACT_MEDIAN else "phantom"
-            )
-            self._grid = None
-            self._allow_wide = False
-            for iv in others:
-                if not iv.is_exact:
-                    raise MechanismError(
-                        f"{target.kind.value} accepts only exact reports"
-                    )
-            self._others = sorted(iv.a for iv in others)
-        else:
-            anchor = "zero" if target.kind is MechanismKind.EQUISPACED_MEDIAN else "half"
-            if instance.delta > target.delta:
-                raise MechanismError(
-                    f"instance delta={instance.delta} exceeds mechanism delta={target.delta}"
-                )
-            self._mode = (
-                "median" if target.kind is MechanismKind.EQUISPACED_MEDIAN else "phantom"
-            )
-            self._grid = build_grid(target.B, target.delta, anchor=anchor)
-            self._allow_wide = False
-            self._others = sorted(
-                select_representative(iv, self._grid) for iv in others
-            )
-
-    def grid_points(self) -> tuple[float, ...]:
-        return self._grid.points if self._grid is not None else ()
-
-    def exact_only(self) -> bool:
-        return isinstance(self.target, MechanismSpec) and self.target.kind in (
-            MechanismKind.EXACT_MEDIAN,
-            MechanismKind.EXACT_PHANTOM_HALF,
+    def __init__(self, target: MechanismSpec, instance: Instance, agent: int):
+        target.check(instance)
+        self.grid, self._represent, self._aggregate = target.resolve()
+        self._others = sorted(
+            self._represent(iv) for i, iv in enumerate(instance.agents) if i != agent
         )
 
-    def _representative(self, report: Interval) -> float:
-        if self._grid is None or self._grid.exact_flag:
-            if not report.is_exact:
-                raise MechanismError("exact mechanism got an interval report")
-            return report.a
-        return select_representative(report, self._grid, allow_wide=self._allow_wide)
-
     def outcome(self, report: Interval) -> float:
-        if self._mode == "constant":
-            return self.target.location
-        rep = self._representative(report)
-        if self._mode == "median":
-            return merged_upper_median(self._others, rep)
-        lo = min(self._others[0], rep) if self._others else rep
-        hi = max(self._others[-1], rep) if self._others else rep
-        return sorted((lo, self.B / 2.0, hi))[1]
-
-
-#: Mechanism families for which exact reports are very weakly dominant, so
-#: the endpoint shortcut for an agent's worst-case regret is valid.
-_SHORTCUT_OK = (MechanismSpec, GridAttackTarget)
+        return self._aggregate(self._others, self._represent(report))
 
 
 def _enumerate_deviations(
@@ -234,22 +129,10 @@ def _enumerate_deviations(
             yield Interval(a, b)
 
 
-def check_minimax_dominance(
-    target: MechanismSpec | GridAttackTarget,
-    instance: Instance,
-    agent: int,
-    grid: DeviationGrid | None = None,
-    tolerance: float = 1e-9,
-    endpoint_shortcut: bool | None = None,
-) -> DominanceReport:
-    """Search for a report that beats truth-telling in worst-case regret.
-
-    Enumerates every deviation interval with endpoints on the deviation
-    grid, in lexicographic order (ties kept on the first minimum, so the
-    reported best deviation is the lexicographically smallest).  The
-    endpoint shortcut is used for the built-in mechanism families; pass
-    ``endpoint_shortcut=False`` to force the sampled-location fallback.
-    """
+def _audit_setup(
+    target: MechanismSpec, instance: Instance, agent: int, grid: DeviationGrid | None
+) -> tuple[DeviationGrid, _OutcomeOracle, Interval, tuple[float, ...]]:
+    """Deviation grid, outcome oracle, own report and candidate endpoints."""
     if not 0 <= agent < instance.n:
         raise ValueError(f"agent index {agent} out of range")
     if grid is None:
@@ -257,16 +140,60 @@ def check_minimax_dominance(
         grid = DeviationGrid(endpoint_pitch=pitch)
     oracle = _OutcomeOracle(target, instance, agent)
     own = instance.agents[agent]
-    endpoints = grid.candidate_endpoints(
-        target.B, tuple(oracle.grid_points()) + (own.a, own.b)
-    )
+    grid_points = oracle.grid.points if oracle.grid is not None else ()
+    endpoints = grid.candidate_endpoints(target.B, grid_points + (own.a, own.b))
     if own.a not in endpoints or own.b not in endpoints:
         raise ValueError(
             "deviation grid does not contain the agent's own endpoints"
         )
-    if endpoint_shortcut is None:
-        endpoint_shortcut = isinstance(target, _SHORTCUT_OK)
+    return grid, oracle, own, endpoints
 
+
+def _first_minimum(
+    agent: int,
+    truthful: Interval,
+    deviations,
+    cost: Callable[[Interval], float],
+    tolerance: float,
+) -> DominanceReport:
+    """Scan deviations in order, keeping the first one of least cost."""
+    truthful_cost = cost(truthful)
+    best_dev = None
+    best_cost = math.inf
+    for dev in deviations:
+        c = cost(dev)
+        if c < best_cost:
+            best_cost = c
+            best_dev = dev
+    gain = truthful_cost - best_cost
+    return DominanceReport(
+        agent=agent,
+        truthful_regret=truthful_cost,
+        best_deviation=best_dev,
+        best_deviation_regret=best_cost,
+        gain=gain,
+        violated=gain > tolerance,
+    )
+
+
+def check_minimax_dominance(
+    target: MechanismSpec,
+    instance: Instance,
+    agent: int,
+    grid: DeviationGrid | None = None,
+    tolerance: float = 1e-9,
+    endpoint_shortcut: bool = True,
+) -> DominanceReport:
+    """Search for a report that beats truth-telling in worst-case regret.
+
+    Enumerates every deviation interval with endpoints on the deviation
+    grid, in lexicographic order (ties kept on the first minimum, so the
+    reported best deviation is the lexicographically smallest).  Exact
+    reports are very weakly dominant for every mechanism spec, so the
+    endpoint shortcut for the agent's worst-case regret is valid; pass
+    ``endpoint_shortcut=False`` to force the sampled-location fallback.
+    """
+    grid, oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
     responses: dict[float, float] = {}
     if endpoint_shortcut:
         responses[own.a] = oracle.outcome(Interval(own.a, own.a))
@@ -277,33 +204,18 @@ def check_minimax_dominance(
             responses[e] = oracle.outcome(Interval(e, e))
         sample_step = grid.endpoint_pitch
 
-    def regret_at(p: float) -> float:
+    def regret_of(report: Interval) -> float:
         return agent_max_regret(
-            p, responses, own,
+            oracle.outcome(report), responses, own,
             endpoint_shortcut=endpoint_shortcut, sample_step=sample_step,
         )
 
-    truthful_regret = regret_at(oracle.outcome(own))
-    best_dev = None
-    best_regret = math.inf
-    for dev in _enumerate_deviations(endpoints, instance.delta, oracle.exact_only()):
-        r = regret_at(oracle.outcome(dev))
-        if r < best_regret:
-            best_regret = r
-            best_dev = dev
-    gain = truthful_regret - best_regret
-    return DominanceReport(
-        agent=agent,
-        truthful_regret=truthful_regret,
-        best_deviation=best_dev,
-        best_deviation_regret=best_regret,
-        gain=gain,
-        violated=gain > tolerance,
-    )
+    deviations = _enumerate_deviations(endpoints, instance.delta, target.exact_only)
+    return _first_minimum(agent, own, deviations, regret_of, tolerance)
 
 
 def check_very_weak_dominance_exact(
-    target: MechanismSpec | GridAttackTarget,
+    target: MechanismSpec,
     points: Sequence[float],
     agent: int,
     grid: DeviationGrid | None = None,
@@ -317,32 +229,14 @@ def check_very_weak_dominance_exact(
     mechanisms is already reached by one.
     """
     instance = validate_instance([(p, p) for p in points], B=target.B, delta=target.delta)
-    if not 0 <= agent < instance.n:
-        raise ValueError(f"agent index {agent} out of range")
-    if grid is None:
-        pitch = target.delta / 20.0 if target.delta > 0 else target.B / 20.0
-        grid = DeviationGrid(endpoint_pitch=pitch)
-    oracle = _OutcomeOracle(target, instance, agent)
-    loc = points[agent]
-    endpoints = grid.candidate_endpoints(
-        target.B, tuple(oracle.grid_points()) + (loc,)
-    )
-    truthful_cost = abs(loc - oracle.outcome(Interval(loc, loc)))
-    best_dev = None
-    best_cost = math.inf
-    for e in endpoints:
-        c = abs(loc - oracle.outcome(Interval(e, e)))
-        if c < best_cost:
-            best_cost = c
-            best_dev = Interval(e, e)
-    gain = truthful_cost - best_cost
-    return DominanceReport(
-        agent=agent,
-        truthful_regret=truthful_cost,
-        best_deviation=best_dev,
-        best_deviation_regret=best_cost,
-        gain=gain,
-        violated=gain > tolerance,
+    _, oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
+    loc = own.a
+    return _first_minimum(
+        agent,
+        own,
+        _enumerate_deviations(endpoints, 0.0, exact_only=True),
+        lambda report: abs(loc - oracle.outcome(report)),
+        tolerance,
     )
 
 

@@ -1,26 +1,32 @@
 """Location mechanisms behind one uniform interface.
 
-Five kinds share the interface: a constant mechanism that ignores reports,
-the classical exact-report median and phantom-half baselines, and their
-grid-snapping extensions for interval reports.  The grid mechanisms pick a
-representative grid point per agent (a case analysis on how many grid
-points the snapped interval covers) and aggregate representatives; with
-``delta = 0`` they degrade exactly to their classical counterparts.
+Every kind is an optional grid plus an aggregator.  Each report is first
+mapped to a representative: the reported point itself for the exact kinds,
+or a grid point for the equispaced kinds (a case analysis on how many grid
+points the snapped interval covers).  An aggregator then combines the
+representatives: the upper median, the median of the extremes and the
+phantom point B/2, or a constant that ignores reports.  With ``delta = 0``
+the grid is the identity, so the equispaced kinds degrade exactly to their
+classical counterparts.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from typing import Callable, Sequence
 
 from .core import (
     Grid,
     GridMismatchError,
     Instance,
     Interval,
+    _build_spaced_grid,
     _snap_index,
     build_grid,
-    upper_median,
+    merged_upper_median,
 )
 
 __all__ = [
@@ -45,6 +51,16 @@ class MechanismKind(Enum):
     EQUISPACED_PHANTOM_HALF = "equispaced-phantom-half"
 
 
+_EXACT_KINDS = (MechanismKind.EXACT_MEDIAN, MechanismKind.EXACT_PHANTOM_HALF)
+_MEDIAN_KINDS = (MechanismKind.EXACT_MEDIAN, MechanismKind.EQUISPACED_MEDIAN)
+
+#: ``represent(report)`` maps one report to its representative.
+Represent = Callable[[Interval], float]
+#: ``aggregate(sorted_others, rep)`` is the outcome when a report with
+#: representative ``rep`` joins the other reports' sorted representatives.
+Aggregate = Callable[[Sequence[float], float], float]
+
+
 @dataclass(frozen=True)
 class MechanismSpec:
     """A mechanism kind with the designer's domain bound and width bound.
@@ -52,12 +68,21 @@ class MechanismSpec:
     The equispaced kinds require ``delta`` as designer knowledge: their
     guarantees are stated for reports no wider than it.  ``location`` is
     the constant mechanism's fixed output.
+
+    ``spacing`` is allowed for the equispaced median only and replaces its
+    ``delta/2`` grid pitch.  With ``spacing = delta/2`` the mechanism
+    behaves exactly like the equispaced median; finer spacings make
+    reports cover more than three grid points, where the representative
+    falls back to the left median of the covered points.  Such specs are
+    offered as audit targets only: no dominance guarantee is claimed for
+    spacings below ``delta/2``.
     """
 
     kind: MechanismKind
     B: float
     delta: float
     location: float | None = None
+    spacing: float | None = None
 
     def __post_init__(self):
         if self.kind is MechanismKind.CONSTANT:
@@ -67,12 +92,79 @@ class MechanismSpec:
                 raise MechanismError(
                     f"constant location {self.location} outside [0, {self.B}]"
                 )
+        if self.spacing is not None:
+            if self.kind is not MechanismKind.EQUISPACED_MEDIAN:
+                raise MechanismError(
+                    f"spacing applies only to "
+                    f"{MechanismKind.EQUISPACED_MEDIAN.value}, not {self.kind.value}"
+                )
+            if not 0 < self.spacing < math.inf:
+                raise MechanismError(
+                    f"spacing must be positive and finite, got {self.spacing}"
+                )
 
     @property
     def name(self) -> str:
         if self.kind is MechanismKind.CONSTANT:
             return f"constant({self.location:g})"
+        if self.spacing is not None:
+            return f"grid-median(spacing={self.spacing:g})"
         return self.kind.value
+
+    @property
+    def exact_only(self) -> bool:
+        """Whether the mechanism accepts only exact (single-point) reports."""
+        return self.kind in _EXACT_KINDS
+
+    def check(self, instance: Instance) -> None:
+        """Raise ``MechanismError`` unless the mechanism accepts the instance."""
+        if instance.B != self.B:
+            raise MechanismError(
+                f"instance bound B={instance.B} differs from mechanism B={self.B}"
+            )
+        if self.exact_only:
+            for i, iv in enumerate(instance.agents):
+                if not iv.is_exact:
+                    raise MechanismError(
+                        f"{self.kind.value} accepts only exact reports; "
+                        f"agent {i} sent an interval"
+                    )
+        elif self.kind is not MechanismKind.CONSTANT and instance.delta > self.delta:
+            # The guarantee is stated for the designer's width bound, so
+            # coarser instances are rejected rather than silently re-gridded.
+            raise MechanismError(
+                f"instance delta={instance.delta} exceeds mechanism delta={self.delta}"
+            )
+
+    def resolve(self) -> tuple[Grid | None, Represent, Aggregate]:
+        """The mechanism's grid, representative rule and aggregator.
+
+        Callers resolve once and reuse the rules for every report, so no
+        per-report dispatch on ``kind`` is paid.  The constant's rules map
+        every report, and every profile, to its location.
+        """
+        kind = self.kind
+        if kind is MechanismKind.CONSTANT:
+            fixed = partial(_fixed, self.location)
+            return None, fixed, fixed
+        if kind in _EXACT_KINDS:
+            grid, represent = None, _exact_point
+        else:
+            anchor = "zero" if kind is MechanismKind.EQUISPACED_MEDIAN else "half"
+            if self.spacing is None:
+                grid = build_grid(self.B, self.delta, anchor=anchor)
+            else:
+                grid = _build_spaced_grid(self.B, self.spacing, anchor)
+            allow_wide = self.spacing is not None
+
+            # A closure, not a keyword partial: it runs once per deviation
+            # in an audit, and a keyword partial copies its keywords per call.
+            def represent(report: Interval) -> float:
+                return select_representative(report, grid, allow_wide)
+
+        if kind in _MEDIAN_KINDS:
+            return grid, represent, merged_upper_median
+        return grid, represent, partial(_phantom_half, self.B / 2.0)
 
 
 @dataclass(frozen=True)
@@ -124,50 +216,35 @@ def select_representative(
     )
 
 
-def _median_of_three(lo: float, mid: float, hi: float) -> float:
-    return sorted((lo, mid, hi))[1]
+def _fixed(value: float, *_) -> float:
+    return value
 
 
-def _require_exact(instance: Instance, kind: MechanismKind) -> list[float]:
-    points = []
-    for i, iv in enumerate(instance.agents):
-        if not iv.is_exact:
-            raise MechanismError(
-                f"{kind.value} accepts only exact reports; agent {i} sent an interval"
-            )
-        points.append(iv.a)
-    return points
+def _exact_point(report: Interval) -> float:
+    if not report.is_exact:
+        raise MechanismError("exact mechanism got an interval report")
+    return report.a
+
+
+def _phantom_half(half: float, sorted_others: Sequence[float], rep: float) -> float:
+    """Median of the lowest representative, ``half`` and the highest one."""
+    lo = min(sorted_others[0], rep) if sorted_others else rep
+    hi = max(sorted_others[-1], rep) if sorted_others else rep
+    return sorted((lo, half, hi))[1]
 
 
 def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
-    """Apply a mechanism to a profile of reports."""
-    if instance.B != spec.B:
-        raise MechanismError(
-            f"instance bound B={instance.B} differs from mechanism B={spec.B}"
-        )
-    kind = spec.kind
-    if kind is MechanismKind.CONSTANT:
+    """Apply a mechanism to a profile of reports: check, represent, aggregate.
+
+    Exact kinds and the constant report no representatives and no grid.
+    """
+    spec.check(instance)
+    if spec.kind is MechanismKind.CONSTANT:  # ignores reports: skip the work
         return MechanismOutcome(p=spec.location, representatives=(), grid=None)
-    if kind is MechanismKind.EXACT_MEDIAN:
-        points = _require_exact(instance, kind)
-        return MechanismOutcome(p=upper_median(points), representatives=(), grid=None)
-    if kind is MechanismKind.EXACT_PHANTOM_HALF:
-        points = _require_exact(instance, kind)
-        p = _median_of_three(min(points), spec.B / 2.0, max(points))
-        return MechanismOutcome(p=p, representatives=(), grid=None)
-    # Grid kinds: the guarantee is stated for the designer's width bound,
-    # so coarser instances are rejected rather than silently re-gridded.
-    if instance.delta > spec.delta:
-        raise MechanismError(
-            f"instance delta={instance.delta} exceeds mechanism delta={spec.delta}"
-        )
-    if kind is MechanismKind.EQUISPACED_MEDIAN:
-        grid = build_grid(spec.B, spec.delta, anchor="zero")
-        reps = tuple(select_representative(iv, grid) for iv in instance.agents)
-        return MechanismOutcome(p=upper_median(reps), representatives=reps, grid=grid)
-    if kind is MechanismKind.EQUISPACED_PHANTOM_HALF:
-        grid = build_grid(spec.B, spec.delta, anchor="half")
-        reps = tuple(select_representative(iv, grid) for iv in instance.agents)
-        p = _median_of_three(min(reps), spec.B / 2.0, max(reps))
-        return MechanismOutcome(p=p, representatives=reps, grid=grid)
-    raise MechanismError(f"unknown mechanism kind {kind!r}")
+    grid, represent, aggregate = spec.resolve()
+    reps = tuple(map(represent, instance.agents))
+    # Any one representative can play the report that joins the others.
+    p = aggregate(sorted(reps[1:]), reps[0])
+    return MechanismOutcome(
+        p=p, representatives=reps if grid is not None else (), grid=grid
+    )

@@ -210,6 +210,64 @@ class TestCommandLine:
                      "--strict"])
         assert code == EXIT_VIOLATION
 
+    def test_spacing_keeps_equispaced_median_output(self, instance_file, capsys):
+        assert main(["mechanism", "--kind", "equispaced-median", "--instance",
+                     instance_file, "--spacing", "0.05"]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            '{\n  "mechanism": "grid-median(spacing=0.05)",\n  "p": 0.4,\n'
+            '  "representatives": [\n    0.2,\n    0.4,\n    0.9\n  ]\n}\n'
+        )
+
+    @pytest.mark.parametrize("kind", [
+        ["--kind", "exact-median"],
+        ["--kind", "constant", "--location", "0.3"],
+    ])
+    @pytest.mark.parametrize("command", ["mechanism", "audit"])
+    def test_spacing_requires_equispaced_median(
+        self, command, kind, instance_file, capsys
+    ):
+        code = main([command, *kind, "--instance", instance_file,
+                     "--spacing", "0.05"])
+        assert code == EXIT_VALIDATION
+        assert "spacing applies only to equispaced-median" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", [
+        "--pitch", "--oracle-step", "--brute-step", "oracle_step",
+    ])
+    def test_zero_steps_rejected(self, option, instance_file, tmp_path, capsys):
+        if option == "oracle_step":
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps({
+                "seed": 3, "trials": 1, "n_values": [3], "B": 1.0,
+                "delta_values": [0.2], "objective": "avg",
+                "mechanisms": [{"kind": "equispaced-median"}],
+                "oracle_step": 0,
+            }), encoding="utf-8")
+            argv = ["experiment", "--config", str(cfg),
+                    "--out", str(tmp_path / "out.csv")]
+        elif option == "--pitch":
+            argv = ["audit", "--kind", "equispaced-median",
+                    "--instance", instance_file, "--pitch", "0"]
+        else:
+            argv = ["solve", "--objective", "avg",
+                    "--instance", instance_file, option, "0"]
+        assert main(argv) == EXIT_VALIDATION
+        assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,data", [
+        (["solve", "--objective", "avg"],
+         {"B": 1.0, "delta": 0.2, "agents": [{"a": float("nan"), "b": 0.3}]}),
+        (["solve", "--objective", "avg"],
+         {"B": 1.0, "delta": 0.2, "agents": [{"a": 0.1, "b": float("nan")}]}),
+        (["mechanism", "--kind", "equispaced-median"],
+         {"B": float("inf"), "delta": 0.2, "agents": [{"a": 0.1, "b": 0.2}]}),
+    ])
+    def test_non_finite_instance_rejected(self, command, data, tmp_path, capsys):
+        path = write_instance(tmp_path / "nonfinite.json", data)
+        assert main([*command, "--instance", path]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_oracle_scale_exit_code(self, tmp_path, capsys):
         path = write_instance(
             tmp_path / "big.json",

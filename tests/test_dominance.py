@@ -111,22 +111,37 @@ class TestMinimaxDominanceAudit:
         # that shortcut must agree with a from-scratch mechanism run.
         from robustloc.dominance import _OutcomeOracle
 
+        delta = 0.2
+        targets = [
+            spec(MechanismKind.CONSTANT, location=0.3),
+            spec(MechanismKind.EXACT_MEDIAN),
+            spec(MechanismKind.EXACT_PHANTOM_HALF),
+            spec(EQ_MED),
+            spec(EQ_PH),
+            GridAttackTarget(B=1.0, delta=delta, spacing=0.05),
+            GridAttackTarget(B=1.0, delta=delta, spacing=delta / 2),
+        ]
         for _ in range(30):
             n = int(rng.integers(1, 7))
-            delta = 0.2
             inst = random_instance(n, 1.0, delta, rng)
             agent = int(rng.integers(0, n))
             w = float(rng.uniform(0, delta))
             a = float(rng.uniform(0, 1 - w))
             report = Interval(a, a + w)
-            deviated = inst.replace_agent(agent, report)
-            for kind in (EQ_MED, EQ_PH):
-                s = spec(kind)
-                oracle = _OutcomeOracle(s, inst, agent)
-                assert oracle.outcome(report) == run_mechanism(s, deviated).p
-            target = GridAttackTarget(B=1.0, delta=delta, spacing=0.05)
-            oracle = _OutcomeOracle(target, inst, agent)
-            assert oracle.outcome(report) == target.run(deviated).p
+            points = validate_instance(
+                [((iv.a + iv.b) / 2,) * 2 for iv in inst.agents], 1.0, delta
+            )
+            for s in targets:
+                base, dev = (points, Interval(a, a)) if s.exact_only else (inst, report)
+                oracle = _OutcomeOracle(s, base, agent)
+                full = run_mechanism(s, base.replace_agent(agent, dev))
+                assert oracle.outcome(dev) == full.p, s
+            # The docstring's claim: spacing delta/2 is the equispaced median.
+            half = run_mechanism(targets[-1], inst)
+            median = run_mechanism(spec(EQ_MED), inst)
+            assert (half.p, half.representatives, half.grid) == (
+                median.p, median.representatives, median.grid
+            )
 
     def test_report_is_deterministic(self):
         inst = validate_instance([(0.1, 0.25), (0.42, 0.55)], B=1, delta=0.2)

@@ -115,6 +115,18 @@ class TestRunMechanism:
         with pytest.raises(MechanismError):
             MechanismSpec(MechanismKind.CONSTANT, B=1, delta=0.2, location=1.5)
 
+    @pytest.mark.parametrize("kind,spacing", [
+        (MechanismKind.EQUISPACED_PHANTOM_HALF, 0.05),
+        (MechanismKind.EXACT_MEDIAN, 0.05),
+        (EQ_MED, 0.0),
+        (EQ_MED, -0.05),
+        (EQ_MED, float("nan")),
+        (EQ_MED, float("inf")),
+    ])
+    def test_spacing_only_positive_on_equispaced_median(self, kind, spacing):
+        with pytest.raises(MechanismError, match="spacing"):
+            MechanismSpec(kind, B=1, delta=0.2, spacing=spacing)
+
 
 class TestMechanismProperties:
     def test_anonymity(self, rng):
