@@ -13,7 +13,6 @@ from .core import (
     Instance,
     Interval,
     InvalidInstanceError,
-    LocationVector,
     SortedEndpoints,
     build_grid,
     snap,

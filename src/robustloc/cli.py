@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -118,8 +119,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise InvalidInstanceError(f"trials must be >= 1, got {self.trials}")
-        if any(d > self.B for d in self.delta_values):
-            raise InvalidInstanceError("every delta must be <= B")
+        if not 0 < self.B < math.inf:
+            raise InvalidInstanceError(f"B must be positive and finite, got {self.B}")
+        if not all(0 <= d <= self.B for d in self.delta_values):
+            raise InvalidInstanceError("every delta must lie in [0, B]")
+        if self.oracle_step is not None and not 0 < self.oracle_step < math.inf:
+            raise InvalidInstanceError(
+                f"oracle_step must be positive and finite, got {self.oracle_step}"
+            )
+        # A bad descriptor fails here, before any trial runs.
+        for descriptor in self.mechanisms:
+            for delta in self.delta_values:
+                _mechanism_spec(descriptor, self.B, delta)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
@@ -138,7 +149,7 @@ class ExperimentConfig:
                     else None
                 ),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidInstanceError(f"malformed experiment config: {exc}") from exc
 
 
@@ -180,10 +191,16 @@ def theoretical_bound(
 def _mechanism_spec(
     descriptor: dict, B: float, delta: float, spacing: float | None = None
 ) -> MechanismSpec:
+    if not isinstance(descriptor, dict) or "kind" not in descriptor:
+        raise InvalidInstanceError(
+            f"mechanism descriptor must be an object with a kind, got {descriptor!r}"
+        )
     kind = MechanismKind(descriptor["kind"])
     location = descriptor.get("location")
     if kind is MechanismKind.CONSTANT and location is None:
         location = B / 2.0
+    if not isinstance(location, (int, float, type(None))):
+        raise InvalidInstanceError(f"location must be a number, got {location!r}")
     return MechanismSpec(
         kind=kind, B=B, delta=delta, location=location, spacing=spacing
     )
@@ -291,7 +308,7 @@ def _emit(data, out: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     instance = load_instance(args.instance)
-    objective = Objective.AVG_COST if args.objective == "avg" else Objective.MAX_COST
+    objective = Objective(args.objective)
     solved = (
         solve_minimax_avgcost(instance)
         if objective is Objective.AVG_COST

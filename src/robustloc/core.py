@@ -7,7 +7,10 @@ formula consumes, the equispaced grids used by the snapping mechanisms,
 and the shared upper-median convention.
 
 All types are immutable and all operations are pure functions, so
-everything here can be used concurrently without synchronization.
+everything here can be used concurrently without synchronization.  The
+one cache, the sorted endpoint view, is built on first use and memoized
+on its frozen instance; it is immutable too, so sharing it is safe (two
+threads racing on the first call at worst both build an equal view).
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from functools import cached_property
+from itertools import accumulate
+from typing import Sequence
 
 __all__ = [
     "Grid",
@@ -23,7 +28,6 @@ __all__ = [
     "Instance",
     "Interval",
     "InvalidInstanceError",
-    "LocationVector",
     "SortedEndpoints",
     "build_grid",
     "snap",
@@ -91,6 +95,18 @@ class Instance:
         agents[index] = interval
         return Instance(self.B, self.delta, tuple(agents))
 
+    @cached_property
+    def _sorted_endpoints(self) -> "SortedEndpoints":
+        # The memo behind sorted_endpoints(); not a field, so ==, hash and
+        # repr ignore it.
+        L = tuple(sorted(iv.a for iv in self.agents))
+        R = tuple(sorted(iv.b for iv in self.agents))
+        k = self.n // 2
+        return SortedEndpoints(
+            L, R, k, (L[k] + R[k]) / 2.0,
+            tuple(accumulate(L, initial=0.0)), tuple(accumulate(R, initial=0.0)),
+        )
+
 
 @dataclass(frozen=True)
 class SortedEndpoints:
@@ -99,32 +115,20 @@ class SortedEndpoints:
     ``L`` and ``R`` are the nondecreasing left and right endpoints (position
     i of L and R need not come from the same agent), ``k = floor(n / 2)``
     and ``M`` is the midpoint of the (k+1)-th smallest endpoints, the pivot
-    of the upper-median convention.
+    of the upper-median convention.  ``sum_L[i]`` and ``sum_R[i]`` are the
+    running sums of the first i entries of L and R, added left to right.
     """
 
     L: tuple[float, ...]
     R: tuple[float, ...]
     k: int
     M: float
+    sum_L: tuple[float, ...]
+    sum_R: tuple[float, ...]
 
     @property
     def n(self) -> int:
         return len(self.L)
-
-
-@dataclass(frozen=True)
-class LocationVector:
-    """A sorted realization of true locations, one per agent."""
-
-    values: tuple[float, ...]
-
-    @classmethod
-    def from_points(cls, points: Iterable[float]) -> "LocationVector":
-        return cls(tuple(sorted(points)))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
 
 
 @dataclass(frozen=True)
@@ -194,11 +198,9 @@ def validate_instance(
 
 
 def sorted_endpoints(instance: Instance) -> SortedEndpoints:
-    """Sort left and right endpoints independently (stable in agent order)."""
-    L = tuple(sorted(iv.a for iv in instance.agents))
-    R = tuple(sorted(iv.b for iv in instance.agents))
-    k = instance.n // 2
-    return SortedEndpoints(L=L, R=R, k=k, M=(L[k] + R[k]) / 2.0)
+    """Sort left and right endpoints independently (stable in agent order),
+    once: later calls on the same instance return the same view."""
+    return instance._sorted_endpoints
 
 
 def upper_median(values: Sequence[float]) -> float:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from .core import Instance, Interval, validate_instance
 from .mechanisms import MechanismKind, MechanismSpec
-from .regret import agent_max_regret
+from .regret import _interval_lattice, agent_max_regret
 
 __all__ = [
     "AdversarialScript",
@@ -47,8 +47,11 @@ class DeviationGrid:
     """Finite proxy for the agent's report space.
 
     Candidate report endpoints are all multiples of ``endpoint_pitch`` in
-    [0, B], every grid point of the audited mechanism, and the agent's own
-    true endpoints (the truthful report must be a candidate).
+    [0, B] (the last one pinned onto B), every grid point of the audited
+    mechanism, and the agent's own true endpoints (the truthful report must
+    be a candidate).  The pitch passes the oracle's step-lattice check: not
+    positive and finite is a ``ValueError``, more than ``ORACLE_CAP``
+    multiples an ``OracleScaleError``.
     """
 
     endpoint_pitch: float
@@ -56,11 +59,7 @@ class DeviationGrid:
     def candidate_endpoints(
         self, B: float, extra: Sequence[float] = ()
     ) -> tuple[float, ...]:
-        if self.endpoint_pitch <= 0:
-            raise ValueError("deviation pitch must be positive")
-        m = int(math.floor(B / self.endpoint_pitch + 1e-9))
-        pts = {i * self.endpoint_pitch for i in range(m + 1)}
-        pts.add(B)
+        pts = set(_interval_lattice(Interval(0.0, B), self.endpoint_pitch).tolist())
         pts.update(x for x in extra if 0.0 <= x <= B)
         return tuple(sorted(pts))
 

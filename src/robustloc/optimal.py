@@ -10,7 +10,6 @@ step-sweep oracle over [0, B] provides an independent cross-check.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -21,6 +20,9 @@ from .regret import (
     Objective,
     RegretEvaluation,
     _AvgCostEvaluator,
+    _evaluate,
+    _lattice_steps,
+    _MaxCostEvaluator,
     maxcost_max_regret,
 )
 
@@ -72,23 +74,23 @@ def breakpoint_state(instance: Instance) -> BreakpointState:
     se = sorted_endpoints(instance)
     H = _candidates(se)
     k, n = se.k, se.n
-    pref_R = [0.0]
-    for v in se.R:
-        pref_R.append(pref_R[-1] + v)
-    pref_L = [0.0]
-    for v in se.L:
-        pref_L.append(pref_L[-1] + v)
     xs, ys, s1s, s2s = [], [], [], []
     for h in H:
         j0 = bisect_left(se.R, h, 0, k)
         xs.append(k - j0)
-        s1s.append(pref_R[k] - pref_R[j0])
+        s1s.append(se.sum_R[k] - se.sum_R[j0])
         h0 = bisect_right(se.L, h, k + 1, n)
         ys.append(h0 - (k + 1))
-        s2s.append(pref_L[h0] - pref_L[k + 1])
+        s2s.append(se.sum_L[h0] - se.sum_L[k + 1])
     return BreakpointState(
         H=tuple(H), x=tuple(xs), y=tuple(ys), S1=tuple(s1s), S2=tuple(s2s)
     )
+
+
+def _first_minimum(points, ev) -> SolveResult:
+    """The first of ``points`` of least max regret, certified by ``ev``."""
+    cert = _evaluate(ev, min(points, key=ev.value))
+    return SolveResult(p_opt=cert.p, omv=cert.value, certificate=cert)
 
 
 def solve_minimax_avgcost(instance: Instance) -> SolveResult:
@@ -118,16 +120,7 @@ def solve_minimax_avgcost(instance: Instance) -> SolveResult:
         p_cross = (a1 + a2) / denom
         if H[i] < p_cross < H[i + 1]:
             candidates.append(p_cross)
-    best_p = None
-    best = math.inf
-    for p in sorted(candidates):
-        v = ev.value(p)
-        if v < best:
-            best = v
-            best_p = p
-    o1, o2 = ev.components(best_p)
-    cert = RegretEvaluation(p=best_p, value=max(o1, o2), obj1=o1, obj2=o2)
-    return SolveResult(p_opt=best_p, omv=cert.value, certificate=cert)
+    return _first_minimum(sorted(candidates), ev)
 
 
 def solve_minimax_maxcost(instance: Instance) -> SolveResult:
@@ -146,37 +139,17 @@ def grid_search_minimax(
 
     Oracle for the solvers: the returned value is within one Lipschitz
     constant (= 1) times ``step`` of the true minimum.  Ties break toward
-    the smaller point.
+    the smaller point.  A step that is not positive and finite raises
+    ``ValueError``; a sweep of more than ``ORACLE_CAP`` multiples raises
+    ``OracleScaleError``.
     """
-    if step <= 0:
-        raise ValueError(f"grid search step must be positive, got {step}")
     se = sorted_endpoints(instance)
-    m = int(math.floor(instance.B / step + 1e-9))
+    m = _lattice_steps(instance.B, step)
     points = set(float(v) for v in np.arange(m + 1) * step)
     points.add(instance.B)
     points.update(se.L)
     points.update(se.R)
+    in_domain = sorted(p for p in points if 0.0 <= p <= instance.B)
     if objective is Objective.AVG_COST:
-        ev = _AvgCostEvaluator(se)
-        value = ev.value
-    else:
-        r0, rn = se.R[0], se.R[-1]
-        l0, ln = se.L[0], se.L[-1]
-        value = lambda p: max(
-            0.0, (r0 + rn) / 2.0 - p, p - (l0 + ln) / 2.0
-        )
-    best_p = None
-    best = math.inf
-    for p in sorted(points):
-        if not 0.0 <= p <= instance.B:
-            continue
-        v = value(p)
-        if v < best:
-            best = v
-            best_p = p
-    if objective is Objective.AVG_COST:
-        o1, o2 = ev.components(best_p)
-        cert = RegretEvaluation(p=best_p, value=max(o1, o2), obj1=o1, obj2=o2)
-    else:
-        cert = maxcost_max_regret(instance, best_p)
-    return SolveResult(p_opt=best_p, omv=cert.value, certificate=cert)
+        return _first_minimum(in_domain, _AvgCostEvaluator(se))
+    return _first_minimum(in_domain, _MaxCostEvaluator(se))

@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Instance, Interval, LocationVector, SortedEndpoints, sorted_endpoints
+from .core import Instance, Interval, SortedEndpoints, sorted_endpoints
 
 __all__ = [
     "ORACLE_CAP",
@@ -42,8 +42,8 @@ __all__ = [
     "regret_of",
 ]
 
-# Refuse brute-force enumerations beyond this many realization vectors
-# rather than silently subsampling.
+# Refuse brute-force enumerations beyond this many realization vectors, and
+# any step lattice beyond this many points, rather than silently subsampling.
 ORACLE_CAP = 10_000_000
 
 _CHUNK_ROWS = 1 << 18
@@ -55,7 +55,7 @@ class Objective(Enum):
 
 
 class OracleScaleError(RuntimeError):
-    """The brute-force enumeration would exceed the configured cap."""
+    """An oracle enumeration or step lattice would exceed the configured cap."""
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ class RegretEvaluation:
 
 def regret_of(
     instance: Instance,
-    realization: LocationVector | Sequence[float],
+    realization: Sequence[float],
     p: float,
     objective: Objective,
 ) -> float:
@@ -81,11 +81,7 @@ def regret_of(
     cost compares the farthest distance at p with half the realization's
     range.
     """
-    values = (
-        realization.values
-        if isinstance(realization, LocationVector)
-        else tuple(sorted(realization))
-    )
+    values = tuple(sorted(realization))
     if len(values) != instance.n:
         raise ValueError(
             f"realization has {len(values)} entries for {instance.n} agents"
@@ -108,35 +104,23 @@ class _AvgCostEvaluator:
     the left endpoints with coefficient 2(k+1) - n.  The coefficients agree
     (= 1) for odd n; for even n they differ because the upper-median
     convention is asymmetric, and both are validated against the
-    brute-force oracle.
+    brute-force oracle.  Partial sums come from the view's prefix sums.
     """
 
     def __init__(self, se: SortedEndpoints):
-        self.se = se
-        n = se.n
-        k = se.k
-        self.n = n
-        self.k = k
-        self.c1 = n - 2 * k
-        self.c2 = 2 * (k + 1) - n
-        # Suffix sums of R over sorted positions 0..k-1, prefix sums of L
-        # over sorted positions k+1..n-1 (the only ranges the formulas read).
-        self._pref_R = [0.0]
-        for v in se.R:
-            self._pref_R.append(self._pref_R[-1] + v)
-        self._pref_L = [0.0]
-        for v in se.L:
-            self._pref_L.append(self._pref_L[-1] + v)
+        self.se, self.n, self.k = se, se.n, se.k
+        self.c1 = se.n - 2 * se.k
+        self.c2 = 2 * (se.k + 1) - se.n
 
     def components(self, p: float) -> tuple[float, float]:
         se, n, k = self.se, self.n, self.k
         j0 = bisect_right(se.R, p, 0, k)
         x = k - j0
-        s1 = self._pref_R[k] - self._pref_R[j0]
+        s1 = se.sum_R[k] - se.sum_R[j0]
         term1 = 2.0 * (s1 - x * p) + self.c1 * (se.R[k] - p)
         h0 = bisect_left(se.L, p, k + 1, n)
         y = h0 - (k + 1)
-        s2 = self._pref_L[h0] - self._pref_L[k + 1]
+        s2 = se.sum_L[h0] - se.sum_L[k + 1]
         term2 = 2.0 * (y * p - s2) + self.c2 * (p - se.L[k])
         return max(0.0, term1 / n), max(0.0, term2 / n)
 
@@ -145,32 +129,79 @@ class _AvgCostEvaluator:
         return max(o1, o2)
 
 
-def avgcost_max_regret(instance: Instance, p: float) -> RegretEvaluation:
-    """Closed-form max regret of p for the average-cost objective."""
-    ev = _AvgCostEvaluator(sorted_endpoints(instance))
+class _MaxCostEvaluator:
+    """Maximum-cost max regret: (R_1 + R_n)/2 - p against p - (L_1 + L_n)/2."""
+
+    def __init__(self, se: SortedEndpoints):
+        self.right = (se.R[0] + se.R[-1]) / 2.0
+        self.left = (se.L[0] + se.L[-1]) / 2.0
+
+    def components(self, p: float) -> tuple[float, float]:
+        return max(0.0, self.right - p), max(0.0, p - self.left)
+
+    def value(self, p: float) -> float:
+        return max(0.0, self.right - p, p - self.left)
+
+
+def _evaluate(ev, p: float) -> RegretEvaluation:
+    """Max regret of p under either evaluator, with both components."""
     o1, o2 = ev.components(p)
     return RegretEvaluation(p=p, value=max(o1, o2), obj1=o1, obj2=o2)
 
 
+def avgcost_max_regret(instance: Instance, p: float) -> RegretEvaluation:
+    """Closed-form max regret of p for the average-cost objective."""
+    return _evaluate(_AvgCostEvaluator(sorted_endpoints(instance)), p)
+
+
 def maxcost_max_regret(instance: Instance, p: float) -> RegretEvaluation:
     """Closed-form max regret of p for the maximum-cost objective."""
-    se = sorted_endpoints(instance)
-    o1 = max(0.0, (se.R[0] + se.R[-1]) / 2.0 - p)
-    o2 = max(0.0, p - (se.L[0] + se.L[-1]) / 2.0)
-    return RegretEvaluation(p=p, value=max(o1, o2), obj1=o1, obj2=o2)
+    return _evaluate(_MaxCostEvaluator(sorted_endpoints(instance)), p)
 
 
-def _interval_lattice(interval: Interval, step: float) -> np.ndarray:
-    """Discretize [a, b] at pitch ``step`` with both endpoints included."""
+def _lattice_steps(width: float, step: float, cap: int | None = None) -> int:
+    """Whole steps of ``step`` in ``width``, up to a 1e-9 relative allowance.
+
+    The one check of every step lattice, made from the width before any
+    point is built: a step that is not positive and finite raises
+    ``ValueError``, and a lattice of more than ``cap`` multiples (by
+    default ``ORACLE_CAP``, read at call time) raises :class:`OracleScaleError`.
+    """
+    if not 0 < step < math.inf:
+        raise ValueError(f"lattice step must be positive and finite, got {step}")
+    cap = ORACLE_CAP if cap is None else cap
+    q = width / step + 1e-9
+    if q >= cap:
+        raise OracleScaleError(
+            f"oracle scale exceeded: a step-{step} lattice over width {width} "
+            f"has more than {cap} points"
+        )
+    return int(math.floor(q))
+
+
+def _lattice_size(interval: Interval, step: float, cap: int | None = None) -> int:
+    """Length of ``_interval_lattice(interval, step)``, counted, not built."""
+    a, b = interval.a, interval.b
+    m = _lattice_steps(max(b - a, 0.0), step, cap)
+    if b <= a:
+        return 1
+    return m + 1 + int(b - (a + step * m) > step * 1e-9)
+
+
+def _interval_lattice(
+    interval: Interval, step: float, cap: int | None = None
+) -> np.ndarray:
+    """Discretize [a, b] at pitch ``step`` with both endpoints included.
+
+    The last multiple of ``step`` is pinned onto b when it lands within
+    ``step * 1e-9`` of it (or beyond), so no point leaves the interval.
+    """
+    size = _lattice_size(interval, step, cap)
     a, b = interval.a, interval.b
     if b <= a:
         return np.array([a])
-    m = int(math.floor((b - a) / step + 1e-9))
-    pts = a + step * np.arange(m + 1)
-    if b - pts[-1] > step * 1e-9:
-        pts = np.append(pts, b)
-    else:
-        pts[-1] = b
+    pts = a + step * np.arange(size)
+    pts[-1] = b
     return pts
 
 
@@ -188,15 +219,13 @@ def brute_force_max_regret_batch(
     memory.  Raises :class:`OracleScaleError` when the enumeration would
     exceed ``cap`` vectors.
     """
-    if step <= 0:
-        raise ValueError(f"oracle step must be positive, got {step}")
-    lattices = [_interval_lattice(iv, step) for iv in instance.agents]
-    sizes = [len(l) for l in lattices]
+    sizes = [_lattice_size(iv, step, cap) for iv in instance.agents]
     total = math.prod(sizes)
     if total > cap:
         raise OracleScaleError(
             f"oracle scale exceeded: {total} realization vectors > cap {cap}"
         )
+    lattices = [_interval_lattice(iv, step, cap) for iv in instance.agents]
     n = instance.n
     m = n // 2
     p_arr = np.asarray(ps, dtype=float)

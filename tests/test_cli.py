@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+import robustloc.regret as regret_module
 from robustloc import random_instance, validate_instance
 from robustloc.cli import (
     EXIT_OK,
@@ -253,6 +255,55 @@ class TestCommandLine:
                     "--instance", instance_file, option, "0"]
         assert main(argv) == EXIT_VALIDATION
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--kind", "equispaced-median", "--pitch"],
+        ["solve", "--objective", "avg", "--oracle-step"],
+        ["solve", "--objective", "max", "--brute-step"],
+    ])
+    def test_non_finite_steps_rejected(self, argv, value, instance_file, capsys):
+        assert main([*argv, value, "--instance", instance_file]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "must be positive and finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["audit", "--kind", "equispaced-median", "--pitch", "0.01"],
+        ["solve", "--objective", "avg", "--oracle-step", "0.01"],
+    ])
+    def test_oversized_step_lattice_exit_code(
+        self, argv, instance_file, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 50)
+        assert main([*argv, "--instance", instance_file]) == EXIT_ORACLE_SCALE
+        assert "oracle scale exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", [
+        {"B": math.inf},
+        {"B": math.nan},
+        {"oracle_step": math.inf},
+        {"mechanisms": ["equispaced-median"]},
+        {"mechanisms": [{"kind": "constant", "location": "x"}]},
+        {"mechanisms": [{"location": 0.5}]},
+        {"n_values": [math.inf]},
+        {"delta_values": [math.nan]},
+    ], ids=["B-inf", "B-nan", "oracle-step-inf", "bare-string-mechanism",
+            "string-location", "no-kind", "n-inf", "delta-nan"])
+    def test_bad_experiment_config_rejected(self, override, tmp_path, capsys):
+        data = {
+            "seed": 3, "trials": 1, "n_values": [3], "B": 1.0,
+            "delta_values": [0.2], "objective": "avg",
+            "mechanisms": [{"kind": "equispaced-median"}],
+        }
+        data.update(override)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command,data", [
         (["solve", "--objective", "avg"],

@@ -100,6 +100,25 @@ class TestSortedEndpoints:
             assert r - l <= inst.delta + 1e-9
 
 
+    def test_view_is_built_once_per_instance(self):
+        inst = validate_instance([(0.4, 0.5), (0.0, 0.1)], B=1, delta=0.1)
+        assert sorted_endpoints(inst) is sorted_endpoints(inst)
+        # The memo is not a field: equality, hash and repr ignore it.
+        twin = validate_instance([(0.4, 0.5), (0.0, 0.1)], B=1, delta=0.1)
+        assert inst == twin and hash(inst) == hash(twin)
+        assert repr(inst) == repr(twin)
+
+    def test_prefix_sums_add_left_to_right(self):
+        inst = validate_instance(
+            [(0.7, 0.75), (0.1, 0.3), (0.2, 0.2), (0.3, 0.4)], B=1, delta=0.2
+        )
+        se = sorted_endpoints(inst)
+        for values, sums in ((se.L, se.sum_L), (se.R, se.sum_R)):
+            assert len(sums) == inst.n + 1 and sums[0] == 0.0
+            for i, v in enumerate(values):
+                assert sums[i + 1] == sums[i] + v
+
+
 class TestUpperMedian:
     def test_odd(self):
         assert upper_median([0.2, 0.4, 0.9]) == 0.4

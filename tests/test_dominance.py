@@ -1,7 +1,11 @@
+import math
+
 import pytest
 
+import robustloc.regret as regret_module
 from robustloc import (
     DeviationGrid,
+    OracleScaleError,
     GridAttackTarget,
     Interval,
     MechanismKind,
@@ -148,6 +152,30 @@ class TestMinimaxDominanceAudit:
         first = check_minimax_dominance(spec(EQ_MED), inst, 0)
         second = check_minimax_dominance(spec(EQ_MED), inst, 0)
         assert first == second
+
+
+class TestDeviationGrid:
+    @pytest.mark.parametrize("B,pitch,count", [
+        (0.3, 0.1, 4), (0.7, 0.1, 8), (0.9, 0.3, 4),
+    ])
+    def test_candidates_stay_in_domain(self, B, pitch, count):
+        # The last multiple of the pitch overshoots B (0.30000000000000004,
+        # 0.7000000000000001) or undershoots it (0.8999999999999999); it is
+        # pinned onto B instead of becoming an extra candidate.
+        pts = DeviationGrid(endpoint_pitch=pitch).candidate_endpoints(B)
+        assert all(0.0 <= x <= B for x in pts)
+        assert max(pts) == B and len(pts) == count
+
+    @pytest.mark.parametrize("pitch", [0.0, -0.1, math.inf, math.nan])
+    def test_rejects_bad_pitch(self, pitch):
+        with pytest.raises(ValueError, match="must be positive"):
+            DeviationGrid(endpoint_pitch=pitch).candidate_endpoints(1.0)
+
+    def test_refuses_pitch_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 50)
+        with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
+            DeviationGrid(endpoint_pitch=0.01).candidate_endpoints(1.0)
+        assert len(DeviationGrid(endpoint_pitch=0.05).candidate_endpoints(1.0)) == 21
 
 
 class TestVeryWeakDominanceExact:

@@ -1,7 +1,12 @@
+import math
+
 import pytest
 
+import robustloc.regret as regret_module
 from robustloc import (
     Objective,
+    OracleScaleError,
+    maxcost_max_regret,
     avgcost_max_regret,
     breakpoint_state,
     grid_search_minimax,
@@ -127,6 +132,31 @@ class TestGridSearch:
         inst = validate_instance([(0, 0.1)], B=1, delta=0.1)
         with pytest.raises(ValueError):
             grid_search_minimax(inst, AVG, step=-1)
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan])
+    def test_rejects_non_finite_step(self, step):
+        inst = validate_instance([(0, 0.1)], B=1, delta=0.1)
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            grid_search_minimax(inst, AVG, step=step)
+
+    def test_refuses_sweep_beyond_cap(self, monkeypatch):
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 100)
+        inst = validate_instance([(0, 0.1)], B=1, delta=0.1)
+        with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
+            grid_search_minimax(inst, AVG, step=0.01)  # 101 multiples
+        assert grid_search_minimax(inst, AVG, step=0.0101).omv >= 0.0
+
+    @pytest.mark.parametrize("objective,evaluate", [
+        (AVG, avgcost_max_regret), (MC, maxcost_max_regret),
+    ])
+    def test_certificate_is_the_closed_form_at_the_argmin(
+        self, objective, evaluate, rng
+    ):
+        for _ in range(20):
+            inst = random_instance(int(rng.integers(1, 8)), 1.0, 0.2, rng)
+            res = grid_search_minimax(inst, objective, step=0.01)
+            assert res.certificate == evaluate(inst, res.p_opt)
+            assert res.omv == res.certificate.value
 
     def test_solver_agreement_both_parities(self, rng):
         for _ in range(80):

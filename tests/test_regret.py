@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import robustloc.regret as regret_module
 from robustloc import (
     Interval,
     Objective,
@@ -145,6 +148,28 @@ class TestBruteForceOracle:
         inst = uniform_instance([(0, 0.5)] * 5, delta=0.5)
         with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
             brute_force_max_regret(inst, 0.3, AVG, step=1e-4)
+
+    @pytest.mark.parametrize("step", [-0.01, math.inf, math.nan])
+    def test_rejects_non_finite_or_negative_step(self, step):
+        inst = uniform_instance([(0, 0.3)])
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            brute_force_max_regret(inst, 0.1, AVG, step=step)
+
+    def test_refuses_before_building_any_lattice(self, monkeypatch):
+        built = []
+        real = regret_module._interval_lattice
+
+        def recording(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(regret_module, "_interval_lattice", recording)
+        inst = uniform_instance([(0, 0.5)] * 3, delta=0.5)  # 51**3 vectors
+        with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
+            brute_force_max_regret(inst, 0.3, AVG, step=0.01, cap=51**3 - 1)
+        assert built == []
+        brute_force_max_regret(inst, 0.3, AVG, step=0.01, cap=51**3)
+        assert len(built) == 3
 
     def test_batch_matches_single(self):
         inst = uniform_instance([(0.1, 0.3), (0.5, 0.6)])
