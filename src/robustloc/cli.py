@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Instance, InvalidInstanceError, validate_instance
+from .core import Instance, InvalidInstanceError, _check_domain, validate_instance
 from .dominance import (
     DeviationGrid,
     check_minimax_dominance,
@@ -87,9 +87,11 @@ def instance_to_json(instance: Instance) -> dict:
 def random_instance(n: int, B: float, delta: float, rng_state) -> Instance:
     """Draw an instance: width uniform in [0, delta], left end uniform in
     [0, B - width].  ``rng_state`` is a numpy Generator or an integer seed
-    for PCG64 (documented so seeds reproduce across implementations)."""
+    for PCG64 (documented so seeds reproduce across implementations).
+    ``B`` and ``delta`` are checked before anything is drawn."""
     if n < 1:
         raise InvalidInstanceError(f"need at least one agent, got n={n}")
+    _check_domain(B, delta)
     rng = (
         rng_state
         if isinstance(rng_state, np.random.Generator)
@@ -390,12 +392,25 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
+# The options each attack family needs; argparse leaves them optional.
+_ATTACK_OPTIONS = {
+    "vwd-chain": ("eps", "eps1"),
+    "finite-range": ("g", "gamma"),
+    "onto": ("yj", "ell", "r", "eps"),
+    "fine-grid": ("spacing",),
+}
+
+
 def _cmd_attack(args) -> int:
+    missing = [f"--{name}" for name in _ATTACK_OPTIONS[args.family]
+               if getattr(args, name) is None]
+    if missing:
+        raise InvalidInstanceError(
+            f"{args.family} attack needs {', '.join(missing)}"
+        )
     if args.family == "vwd-chain":
         script = gen_vwd_chain(args.B, args.delta, args.eps, args.eps1, n=args.n)
     elif args.family == "finite-range":
-        if args.g is None:
-            raise InvalidInstanceError("finite-range attack needs --g g1,g2,g3,g4")
         g = tuple(float(v) for v in args.g.split(","))
         script = gen_finite_range_attack(
             g, args.gamma, args.n, args.case, args.B, args.delta
@@ -476,8 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("attack", help="emit an adversarial instance family")
-    p.add_argument("--family", required=True,
-                   choices=["vwd-chain", "finite-range", "onto", "fine-grid"])
+    p.add_argument("--family", required=True, choices=list(_ATTACK_OPTIONS))
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, default=3)

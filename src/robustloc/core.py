@@ -150,6 +150,16 @@ class Grid:
         return len(self.points)
 
 
+def _check_domain(B: float, delta: float) -> None:
+    """Reject a ``B`` that is not positive and finite or a delta outside [0, B]."""
+    if not 0 < B < math.inf:
+        raise InvalidInstanceError(
+            f"domain bound B must be positive and finite, got {B}"
+        )
+    if not 0 <= delta <= B:
+        raise InvalidInstanceError(f"delta must lie in [0, B], got {delta}")
+
+
 def validate_instance(
     raw_intervals: Sequence[tuple[float, float]], B: float, delta: float
 ) -> Instance:
@@ -159,12 +169,7 @@ def validate_instance(
     endpoint, a > b, a < 0, b > B or width above ``delta``; the error
     message names the offending agent.  Infinite endpoints fail the bounds.
     """
-    if not 0 < B < math.inf:
-        raise InvalidInstanceError(
-            f"domain bound B must be positive and finite, got {B}"
-        )
-    if not 0 <= delta <= B:
-        raise InvalidInstanceError(f"delta must lie in [0, B], got {delta}")
+    _check_domain(B, delta)
     if len(raw_intervals) == 0:
         raise InvalidInstanceError("empty agent list")
     # Differences like 0.9 - 0.6 overshoot their decimal value by an ulp, so
@@ -256,24 +261,18 @@ def _build_spaced_grid(B: float, spacing: float, anchor: str) -> Grid:
 def _snap_index(point: float, owning_interval: Interval, grid: Grid) -> int:
     """Index of the grid point nearest to ``point``.
 
-    Near-exact ties between the two bracketing grid points are broken in
-    favour of the one inside the owning interval when exactly one of them
-    is, and to the left otherwise.
+    Points outside the grid clamp to its extremes.  Inside it, bisection
+    finds the bracket ``pts[m] <= point < pts[m + 1]``; near-exact ties
+    between the two bracketing points (within ``_TIE_BAND`` of the spacing)
+    are broken in favour of the one inside the owning interval when exactly
+    one of them is, and to the left otherwise.
     """
     pts = grid.points
     if point <= pts[0]:
         return 0
     if point >= pts[-1]:
         return len(pts) - 1
-    q = (point - pts[0]) / grid.spacing
-    m = int(math.floor(q))
-    # Guard against rounding in the division above.
-    while m > 0 and pts[m] > point:
-        m -= 1
-    while m + 1 < len(pts) and pts[m + 1] < point:
-        m += 1
-    if m + 1 >= len(pts):
-        return len(pts) - 1
+    m = bisect_right(pts, point) - 1
     frac = (point - pts[m]) / grid.spacing
     if abs(frac - 0.5) <= _TIE_BAND:
         left_in = owning_interval.contains(pts[m])

@@ -155,7 +155,14 @@ def _first_minimum(
     cost: Callable[[Interval], float],
     tolerance: float,
 ) -> DominanceReport:
-    """Scan deviations in order, keeping the first one of least cost."""
+    """Scan deviations in order, keeping the first one of least cost.
+
+    A ``tolerance`` that is not non-negative and finite is a ``ValueError``.
+    """
+    if not 0 <= tolerance < math.inf:
+        raise ValueError(
+            f"tolerance must be non-negative and finite, got {tolerance}"
+        )
     truthful_cost = cost(truthful)
     best_dev = None
     best_cost = math.inf

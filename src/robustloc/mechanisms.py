@@ -181,13 +181,13 @@ def select_representative(
 ) -> float:
     """The grid point standing in for an interval report.
 
-    Snap both endpoints, then branch on how many grid points the snapped
-    range [x, y] covers: one -> x; two -> x when both x and y lie inside
-    the report or when a + b <= x + y, else y; three -> the middle point.
-    A spacing of half the width bound guarantees at most three; wider
-    coverage means the grid is finer than the reports allow and is only
-    legal for attack targets (``allow_wide``), which take the left median
-    of the covered points.
+    Snap both endpoints and count the grid points the snapped range [x, y]
+    covers.  Two -> x when both x and y lie inside the report or when
+    a + b <= x + y, else y; any other count -> the left median of the
+    covered points (x for one, the middle point for three).  A spacing of
+    half the width bound guarantees at most three; wider coverage means the
+    grid is finer than the reports allow and is only legal for attack
+    targets (``allow_wide``).
     """
     if grid.exact_flag:
         if not interval.is_exact:
@@ -200,20 +200,16 @@ def select_representative(
     iy = _snap_index(b, interval, grid)
     count = iy - ix + 1
     pts = grid.points
-    if count == 1:
-        return pts[ix]
     if count == 2:
         x, y = pts[ix], pts[iy]
         if interval.contains(x) and interval.contains(y):
             return x
         return x if a + b <= x + y else y
-    if count == 3:
-        return pts[ix + 1]
-    if allow_wide and count > 3:
-        return pts[ix + (count - 1) // 2]
-    raise GridMismatchError(
-        f"snapped interval covers {count} grid points; spacing/width mismatch"
-    )
+    if count < 1 or (count > 3 and not allow_wide):
+        raise GridMismatchError(
+            f"snapped interval covers {count} grid points; spacing/width mismatch"
+        )
+    return pts[ix + (count - 1) // 2]
 
 
 def _fixed(value: float, *_) -> float:
@@ -239,8 +235,6 @@ def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     Exact kinds and the constant report no representatives and no grid.
     """
     spec.check(instance)
-    if spec.kind is MechanismKind.CONSTANT:  # ignores reports: skip the work
-        return MechanismOutcome(p=spec.location, representatives=(), grid=None)
     grid, represent, aggregate = spec.resolve()
     reps = tuple(map(represent, instance.agents))
     # Any one representative can play the report that joins the others.

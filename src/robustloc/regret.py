@@ -210,15 +210,16 @@ def brute_force_max_regret_batch(
     ps: Sequence[float],
     objective: Objective,
     step: float,
-    cap: int = ORACLE_CAP,
+    cap: int | None = None,
 ) -> list[float]:
     """Enumerate discretized realizations once and evaluate several p.
 
     The product lattice is walked in fixed mixed-radix order, so results
     are deterministic; realizations are processed in chunks to bound
     memory.  Raises :class:`OracleScaleError` when the enumeration would
-    exceed ``cap`` vectors.
+    exceed ``cap`` vectors (by default ``ORACLE_CAP``, read at call time).
     """
+    cap = ORACLE_CAP if cap is None else cap
     sizes = [_lattice_size(iv, step, cap) for iv in instance.agents]
     total = math.prod(sizes)
     if total > cap:
@@ -261,7 +262,7 @@ def brute_force_max_regret(
     p: float,
     objective: Objective,
     step: float,
-    cap: int = ORACLE_CAP,
+    cap: int | None = None,
 ) -> float:
     """Max regret of p by enumeration over discretized realizations."""
     return brute_force_max_regret_batch(instance, [p], objective, step, cap=cap)[0]

@@ -270,6 +270,7 @@ class TestCommandLine:
     @pytest.mark.parametrize("argv", [
         ["audit", "--kind", "equispaced-median", "--pitch", "0.01"],
         ["solve", "--objective", "avg", "--oracle-step", "0.01"],
+        ["solve", "--objective", "avg", "--brute-step", "0.01"],
     ])
     def test_oversized_step_lattice_exit_code(
         self, argv, instance_file, monkeypatch, capsys
@@ -365,3 +366,33 @@ class TestCommandLine:
         assert main(["experiment", "--config", str(cfg), "--out", str(out1)]) == EXIT_OK
         assert main(["experiment", "--config", str(cfg), "--out", str(out2)]) == EXIT_OK
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("bounds", [
+        ["--B", "inf", "--delta", "0.2"],
+        ["--B", "nan", "--delta", "0.2"],
+        ["--B", "1", "--delta", "inf"],
+        ["--B", "1", "--delta", "nan"],
+    ], ids=["B-inf", "B-nan", "delta-inf", "delta-nan"])
+    def test_gen_rejects_non_finite_domain(self, bounds, capsys):
+        assert main(["gen", "--n", "3", *bounds, "--seed", "1"]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    def test_audit_rejects_bad_tolerance(self, tolerance, instance_file, capsys):
+        code = main(["audit", "--kind", "equispaced-median", "--instance",
+                     instance_file, "--tolerance", tolerance, "--strict"])
+        assert code == EXIT_VALIDATION
+        assert "tolerance must be non-negative and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("family,given,missing", [
+        ("vwd-chain", [], "--eps, --eps1"),
+        ("fine-grid", [], "--spacing"),
+        ("onto", [], "--yj, --ell, --r, --eps"),
+        ("finite-range", ["--g", "0.0,0.1,0.2,0.3"], "--gamma"),
+    ], ids=["vwd-chain", "fine-grid", "onto", "finite-range"])
+    def test_attack_names_missing_options(self, family, given, missing, capsys):
+        code = main(["attack", "--family", family, "--delta", "0.2", *given])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert f"{family} attack needs {missing}" in err and "Traceback" not in err

@@ -6,15 +6,17 @@ from hypothesis import strategies as st
 
 from robustloc import (
     Grid,
+    GridMismatchError,
     Interval,
     InvalidInstanceError,
     build_grid,
+    select_representative,
     snap,
     sorted_endpoints,
     upper_median,
     validate_instance,
 )
-from robustloc.core import merged_upper_median
+from robustloc.core import _build_spaced_grid, merged_upper_median
 
 
 class TestValidateInstance:
@@ -218,3 +220,76 @@ class TestSnap:
         g = Grid(points=(0.2, 0.3, 0.4), anchor="zero", spacing=0.1)
         assert snap(0.05, Interval(0.05, 0.05), g) == 0.2
         assert snap(0.9, Interval(0.9, 0.9), g) == 0.4
+
+
+def nearest_reference(point, interval, grid):
+    """Index of the nearest grid point, found by scanning every point.
+
+    Points whose distance is within 1e-9 * spacing of the least one tie;
+    among tied points the one inside the interval wins when exactly one
+    is, else the leftmost.
+    """
+    pts = grid.points
+    dist = [abs(point - x) for x in pts]
+    least = min(dist)
+    tied = [i for i, d in enumerate(dist) if d <= least + 1e-9 * grid.spacing]
+    inside = [i for i in tied if interval.contains(pts[i])]
+    return inside[0] if len(inside) == 1 else tied[0]
+
+
+def reference_grids():
+    for B in (1.0, 0.9, 0.7):
+        for delta in (0.1, 0.2, 0.3):
+            yield build_grid(B, delta, "zero"), B, delta
+            yield build_grid(B, delta, "half"), B, delta
+            yield _build_spaced_grid(B, delta / 4.0, "zero"), B, delta
+
+
+def probes(grid, B):
+    """Every grid point and midpoint, each also 1e-12 to either side."""
+    pts = grid.points
+    centres = list(pts) + [(x + y) / 2.0 for x, y in zip(pts, pts[1:])]
+    out = {c + e for c in centres for e in (0.0, 1e-12, -1e-12)}
+    return sorted(x for x in out if 0.0 <= x <= B)
+
+
+class TestSnapReference:
+    def test_snap_matches_nearest_point_scan(self):
+        checked = 0
+        for grid, B, _ in reference_grids():
+            s = grid.spacing
+            for p in probes(grid, B):
+                for iv in (
+                    Interval(p, p),
+                    Interval(p, min(p + s, B)),
+                    Interval(max(p - s, 0.0), p),
+                    Interval(max(p - s, 0.0), min(p + s, B)),
+                ):
+                    want = grid.points[nearest_reference(p, iv, grid)]
+                    assert snap(p, iv, grid) == want, (grid.anchor, s, p, iv)
+                    checked += 1
+        assert checked > 5_000
+
+    def test_representative_is_left_median_of_covered_points(self):
+        seen = set()
+        for grid, B, delta in reference_grids():
+            pts = grid.points
+            ends = probes(grid, B)
+            for i, a in enumerate(ends):
+                for b in ends[i:]:
+                    if b - a > delta:
+                        break
+                    iv = Interval(a, b)
+                    ix = nearest_reference(a, iv, grid)
+                    iy = nearest_reference(b, iv, grid)
+                    covered = pts[ix : iy + 1]
+                    count = len(covered)
+                    if count == 2:
+                        continue
+                    seen.add(min(count, 4))
+                    if count > 3:
+                        with pytest.raises(GridMismatchError):
+                            select_representative(iv, grid)
+                    got = select_representative(iv, grid, allow_wide=count > 3)
+                    assert got == covered[(count - 1) // 2], (grid.spacing, a, b)
+        assert seen == {1, 3, 4}

@@ -147,6 +147,17 @@ class TestMinimaxDominanceAudit:
                 median.p, median.representatives, median.grid
             )
 
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_tolerance(self, tolerance):
+        inst = validate_instance([(0.1, 0.25), (0.42, 0.55)], B=1, delta=0.2)
+        match = "tolerance must be non-negative and finite"
+        with pytest.raises(ValueError, match=match):
+            check_minimax_dominance(spec(EQ_MED), inst, 0, tolerance=tolerance)
+        with pytest.raises(ValueError, match=match):
+            check_very_weak_dominance_exact(
+                spec(EQ_MED), [0.2, 0.5], 0, tolerance=tolerance
+            )
+
     def test_report_is_deterministic(self):
         inst = validate_instance([(0.1, 0.25), (0.42, 0.55)], B=1, delta=0.2)
         first = check_minimax_dominance(spec(EQ_MED), inst, 0)
