@@ -1,10 +1,17 @@
 """Empirical auditing of dominance properties plus adversarial generators.
 
-The audit is a falsifier, not a verifier: for one agent it enumerates every
+The audit is a falsifier, not a verifier: for one agent it searches every
 deviation interval with endpoints on a finite grid (degenerate reports
 included) and compares the agent's worst-case regret under each deviation
 with the truthful one.  A clean report certifies no violation on the tested
 grid, not dominance over the continuum.
+
+A deviation moves the outcome only through its representative, so the
+regret is computed once per representative.  On a grid kind every
+representative is a grid point and every grid point is reached by its own
+exact report, so the least regret over the grid points is the least over
+all deviations; the lexicographic scan stops at the first deviation that
+reaches it.  The report equals that of a full scan.
 
 The agent's worst-case regret minimizes over her own alternative behaviour,
 including randomized behaviour; since her cost is linear in the mixing
@@ -24,9 +31,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .core import Instance, Interval, validate_instance
+from . import regret
+from .core import Instance, Interval, _check_domain, validate_instance
 from .mechanisms import MechanismKind, MechanismSpec
-from .regret import _interval_lattice, agent_max_regret
+from .regret import OracleScaleError, _interval_lattice, agent_max_regret
 
 __all__ = [
     "AdversarialScript",
@@ -105,13 +113,19 @@ class _OutcomeOracle:
 
     def __init__(self, target: MechanismSpec, instance: Instance, agent: int):
         target.check(instance)
-        self.grid, self._represent, self._aggregate = target.resolve()
+        grid, self.represent, self._aggregate = target.resolve()
+        # Empty for the exact kinds, the constant and the identity grid.
+        self.grid_points = grid.points if grid is not None else ()
         self._others = sorted(
-            self._represent(iv) for i, iv in enumerate(instance.agents) if i != agent
+            self.represent(iv) for i, iv in enumerate(instance.agents) if i != agent
         )
 
+    def outcome_of(self, rep: float) -> float:
+        """The outcome when the agent's report has representative ``rep``."""
+        return self._aggregate(self._others, rep)
+
     def outcome(self, report: Interval) -> float:
-        return self._aggregate(self._others, self._represent(report))
+        return self.outcome_of(self.represent(report))
 
 
 def _enumerate_deviations(
@@ -139,8 +153,7 @@ def _audit_setup(
         grid = DeviationGrid(endpoint_pitch=pitch)
     oracle = _OutcomeOracle(target, instance, agent)
     own = instance.agents[agent]
-    grid_points = oracle.grid.points if oracle.grid is not None else ()
-    endpoints = grid.candidate_endpoints(target.B, grid_points + (own.a, own.b))
+    endpoints = grid.candidate_endpoints(target.B, oracle.grid_points + (own.a, own.b))
     if own.a not in endpoints or own.b not in endpoints:
         raise ValueError(
             "deviation grid does not contain the agent's own endpoints"
@@ -152,10 +165,17 @@ def _first_minimum(
     agent: int,
     truthful: Interval,
     deviations,
-    cost: Callable[[Interval], float],
+    oracle: _OutcomeOracle,
+    cost: Callable[[float], float],
     tolerance: float,
 ) -> DominanceReport:
     """Scan deviations in order, keeping the first one of least cost.
+
+    ``cost`` scores an outcome; each representative is scored once.  With
+    a grid, the scan stops at the first deviation reaching the least score
+    over the grid points (see the module docstring), the one a full scan
+    keeps.  Exact kinds, the constant and the identity grid are scanned to
+    the end.
 
     A ``tolerance`` that is not non-negative and finite is a ``ValueError``.
     """
@@ -163,14 +183,24 @@ def _first_minimum(
         raise ValueError(
             f"tolerance must be non-negative and finite, got {tolerance}"
         )
-    truthful_cost = cost(truthful)
+    scores: dict[float, float] = {}
+
+    def score(rep: float) -> float:
+        if rep not in scores:
+            scores[rep] = cost(oracle.outcome_of(rep))
+        return scores[rep]
+
+    floor = min(map(score, oracle.grid_points), default=-math.inf)
+    truthful_cost = score(oracle.represent(truthful))
     best_dev = None
     best_cost = math.inf
     for dev in deviations:
-        c = cost(dev)
+        c = score(oracle.represent(dev))
         if c < best_cost:
             best_cost = c
             best_dev = dev
+            if c <= floor:
+                break
     gain = truthful_cost - best_cost
     return DominanceReport(
         agent=agent,
@@ -192,12 +222,15 @@ def check_minimax_dominance(
 ) -> DominanceReport:
     """Search for a report that beats truth-telling in worst-case regret.
 
-    Enumerates every deviation interval with endpoints on the deviation
-    grid, in lexicographic order (ties kept on the first minimum, so the
-    reported best deviation is the lexicographically smallest).  Exact
-    reports are very weakly dominant for every mechanism spec, so the
-    endpoint shortcut for the agent's worst-case regret is valid; pass
-    ``endpoint_shortcut=False`` to force the sampled-location fallback.
+    Scans every deviation interval with endpoints on the deviation grid, in
+    lexicographic order (ties kept on the first minimum, so the reported
+    best deviation is the lexicographically smallest).  The regret is
+    computed once per representative, and on a grid kind the scan stops at
+    the first deviation reaching the least regret over the grid points;
+    the report equals that of a full scan.  Exact reports are very weakly
+    dominant for every mechanism spec, so the endpoint shortcut for the
+    agent's worst-case regret is valid; pass ``endpoint_shortcut=False`` to
+    force the sampled-location fallback.
     """
     grid, oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
     responses: dict[float, float] = {}
@@ -210,14 +243,14 @@ def check_minimax_dominance(
             responses[e] = oracle.outcome(Interval(e, e))
         sample_step = grid.endpoint_pitch
 
-    def regret_of(report: Interval) -> float:
+    def regret_at(outcome: float) -> float:
         return agent_max_regret(
-            oracle.outcome(report), responses, own,
+            outcome, responses, own,
             endpoint_shortcut=endpoint_shortcut, sample_step=sample_step,
         )
 
     deviations = _enumerate_deviations(endpoints, instance.delta, target.exact_only)
-    return _first_minimum(agent, own, deviations, regret_of, tolerance)
+    return _first_minimum(agent, own, deviations, oracle, regret_at, tolerance)
 
 
 def check_very_weak_dominance_exact(
@@ -241,7 +274,8 @@ def check_very_weak_dominance_exact(
         agent,
         own,
         _enumerate_deviations(endpoints, 0.0, exact_only=True),
-        lambda report: abs(loc - oracle.outcome(report)),
+        oracle,
+        lambda outcome: abs(loc - outcome),
         tolerance,
     )
 
@@ -254,7 +288,10 @@ def gen_vwd_chain(
     Consecutive instances differ in exactly one agent's report, and the old
     and new reports always overlap in more than one point, which pins the
     output of any very-weakly-dominant mechanism across the whole chain.
+    A chain of more than ``ORACLE_CAP`` reports, counted from the widths
+    before any is built, raises :class:`OracleScaleError`.
     """
+    _check_domain(B, delta)
     if not (0 < eps1 < eps < delta <= B):
         raise ValueError(
             f"need 0 < eps1 < eps < delta <= B, got eps1={eps1}, eps={eps}, "
@@ -262,6 +299,16 @@ def gen_vwd_chain(
         )
     if n < 1:
         raise ValueError("need at least one agent")
+    # The walk advances delta - eps1 per step, so it takes at most
+    # (B - eps) / (delta - eps1) + 2 steps; each agent walks it in turn,
+    # and every instance on the way holds n reports.  n is compared alone
+    # first, because an int beyond float range cannot join the product.
+    steps = (B - eps) / (delta - eps1) + 2
+    if n > regret.ORACLE_CAP or n * (1 + n * steps) > regret.ORACLE_CAP:
+        raise OracleScaleError(
+            f"oracle scale exceeded: a chain of {n} agents over {steps:.3g} "
+            f"steps holds more than {regret.ORACLE_CAP} reports"
+        )
     walk = [(0.0, eps)]
     prev_b = eps
     i = 1
@@ -312,6 +359,7 @@ def gen_finite_range_attack(
     outcome along the ladder forces a regret gap near half the gap between
     g1 and g2 on the final instance.
     """
+    _check_domain(B, delta)
     if len(g) != 4 or not all(g[i] < g[i + 1] for i in range(3)):
         raise ValueError("g must be four strictly increasing grid points")
     if case not in ("one", "two"):
@@ -373,6 +421,7 @@ def gen_onto_attack(
     2z - ell.  A mechanism that behaves like a fixed-point median on exact
     reports ends up rewarding the z agent's deviation.
     """
+    _check_domain(B, delta)
     if not (y_j < ell < r):
         raise ValueError(f"need y_j < ell < r, got {y_j}, {ell}, {r}")
     if not r - ell < delta:
@@ -418,10 +467,13 @@ def gen_fine_grid_attack(
     Deviating to the grid point nearest the midpoint strictly lowers the
     agent's worst-case regret by roughly one grid step.
     """
+    _check_domain(B, delta)
     if not 0 < spacing < delta / 2.0:
         raise ValueError(
             f"attack needs 0 < spacing < delta/2, got spacing={spacing}, delta={delta}"
         )
+    if not B / spacing < math.inf:
+        raise ValueError(f"spacing {spacing} too fine for the domain [0, {B}]")
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd number of agents, at least three")
     if B < 6 * spacing:

@@ -28,6 +28,7 @@ from .core import (
     build_grid,
     merged_upper_median,
 )
+from .regret import _lattice_steps
 
 __all__ = [
     "MechanismError",
@@ -113,8 +114,14 @@ class MechanismSpec:
 
     @property
     def exact_only(self) -> bool:
-        """Whether the mechanism accepts only exact (single-point) reports."""
-        return self.kind in _EXACT_KINDS
+        """Whether the mechanism accepts only exact (single-point) reports.
+
+        True for the exact kinds and for the equispaced kinds at
+        ``delta = 0``, whose identity grid represents points only.
+        """
+        if self.kind is MechanismKind.CONSTANT:
+            return False
+        return self.kind in _EXACT_KINDS or (self.delta == 0 and self.spacing is None)
 
     def check(self, instance: Instance) -> None:
         """Raise ``MechanismError`` unless the mechanism accepts the instance."""
@@ -141,7 +148,8 @@ class MechanismSpec:
 
         Callers resolve once and reuse the rules for every report, so no
         per-report dispatch on ``kind`` is paid.  The constant's rules map
-        every report, and every profile, to its location.
+        every report, and every profile, to its location.  A grid of more
+        than ``ORACLE_CAP`` points raises ``OracleScaleError``.
         """
         kind = self.kind
         if kind is MechanismKind.CONSTANT:
@@ -151,6 +159,9 @@ class MechanismSpec:
             grid, represent = None, _exact_point
         else:
             anchor = "zero" if kind is MechanismKind.EQUISPACED_MEDIAN else "half"
+            spacing = self.delta / 2.0 if self.spacing is None else self.spacing
+            if spacing > 0:
+                _lattice_steps(self.B, spacing)  # counted before any is built
             if self.spacing is None:
                 grid = build_grid(self.B, self.delta, anchor=anchor)
             else:

@@ -396,3 +396,52 @@ class TestCommandLine:
         assert code == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert f"{family} attack needs {missing}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv,code", [
+        (["--family", "fine-grid", "--B", "inf", "--spacing", "0.05"],
+         EXIT_VALIDATION),
+        (["--family", "vwd-chain", "--B", "inf", "--eps", "0.05",
+          "--eps1", "0.01"], EXIT_VALIDATION),
+        (["--family", "onto", "--B", "nan", "--yj", "0.2", "--ell", "0.3",
+          "--r", "0.38", "--eps", "0.02", "--n", "4"], EXIT_VALIDATION),
+        (["--family", "vwd-chain", "--B", "1e12", "--eps", "0.05",
+          "--eps1", "0.01"], EXIT_ORACLE_SCALE),
+    ], ids=["fine-grid-B-inf", "vwd-chain-B-inf", "onto-B-nan",
+            "vwd-chain-too-long"])
+    def test_attack_rejects_bad_domain(self, argv, code, capsys):
+        assert main(["attack", "--delta", "0.2", *argv]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and not captured.out
+
+    def test_audit_of_exact_profile_on_identity_grid(self, tmp_path, capsys):
+        # 0.15 sits next to the pitch multiple 3 * 0.05 = 0.15000000000000002;
+        # the two must not form a (non-exact) deviation on the identity grid.
+        path = write_instance(
+            tmp_path / "exact.json",
+            {"B": 1.0, "delta": 0.0,
+             "agents": [{"a": 0.15, "b": 0.15}, {"a": 0.7, "b": 0.7}]},
+        )
+        code = main(["audit", "--kind", "equispaced-median", "--instance", path,
+                     "--strict"])
+        assert code == EXIT_OK
+        reports = json.loads(capsys.readouterr().out)["reports"]
+        assert all(r["best_deviation"][0] == r["best_deviation"][1] for r in reports)
+
+    def test_identity_grid_rejects_sub_slack_interval(self, tmp_path, capsys):
+        path = write_instance(
+            tmp_path / "almost.json",
+            {"B": 1.0, "delta": 0.0,
+             "agents": [{"a": 0.3, "b": 0.3000000000001}, {"a": 0.7, "b": 0.7}]},
+        )
+        code = main(["mechanism", "--kind", "equispaced-median", "--instance", path])
+        assert code == EXIT_VALIDATION
+        assert "accepts only exact reports" in capsys.readouterr().err
+
+    def test_oversized_mechanism_grid_exit_code(self, tmp_path, capsys):
+        path = write_instance(
+            tmp_path / "narrow.json",
+            {"B": 1.0, "delta": 1e-300, "agents": [{"a": 0.5, "b": 0.5}]},
+        )
+        code = main(["mechanism", "--kind", "equispaced-median", "--instance", path])
+        assert code == EXIT_ORACLE_SCALE
+        assert "oracle scale exceeded" in capsys.readouterr().err

@@ -1,10 +1,15 @@
+import itertools
 import math
 
+import numpy as np
 import pytest
 
+import robustloc.dominance as dominance_module
 import robustloc.regret as regret_module
 from robustloc import (
     DeviationGrid,
+    DominanceReport,
+    InvalidInstanceError,
     OracleScaleError,
     GridAttackTarget,
     Interval,
@@ -21,6 +26,7 @@ from robustloc import (
     run_mechanism,
     validate_instance,
 )
+from robustloc.dominance import _OutcomeOracle, _enumerate_deviations
 
 EQ_MED = MechanismKind.EQUISPACED_MEDIAN
 EQ_PH = MechanismKind.EQUISPACED_PHANTOM_HALF
@@ -28,6 +34,61 @@ EQ_PH = MechanismKind.EQUISPACED_PHANTOM_HALF
 
 def spec(kind, B=1.0, delta=0.2, location=None):
     return MechanismSpec(kind=kind, B=B, delta=delta, location=location)
+
+
+def full_scan(target, instance, agent, grid, tolerance, cost_factory, exact_only):
+    """Reference audit: score every deviation, keep the first least one.
+
+    No memo and no floor.  ``cost_factory(oracle, own, endpoints)`` returns
+    the cost of a report.
+    """
+    oracle = _OutcomeOracle(target, instance, agent)
+    own = instance.agents[agent]
+    mech_grid = target.resolve()[0]
+    mech_points = mech_grid.points if mech_grid is not None else ()
+    endpoints = grid.candidate_endpoints(target.B, mech_points + (own.a, own.b))
+    cost = cost_factory(oracle, own, endpoints)
+    truthful = cost(own)
+    best, best_cost = None, math.inf
+    for dev in _enumerate_deviations(endpoints, instance.delta, exact_only):
+        c = cost(dev)
+        if c < best_cost:
+            best, best_cost = dev, c
+    gain = truthful - best_cost
+    return DominanceReport(agent, truthful, best, best_cost, gain, gain > tolerance)
+
+
+def full_minimax_scan(target, instance, agent, grid, endpoint_shortcut=True):
+    def factory(oracle, own, endpoints):
+        exact = endpoints if not endpoint_shortcut else (own.a, own.b)
+        responses = {e: oracle.outcome(Interval(e, e)) for e in exact}
+        step = None if endpoint_shortcut else grid.endpoint_pitch
+
+        def cost(report):
+            return agent_max_regret(
+                oracle.outcome(report), responses, own,
+                endpoint_shortcut=endpoint_shortcut, sample_step=step,
+            )
+        return cost
+    return full_scan(
+        target, instance, agent, grid, 1e-9, factory, target.exact_only
+    )
+
+
+def full_very_weak_scan(target, points, agent, grid):
+    instance = validate_instance([(p, p) for p in points], target.B, target.delta)
+
+    def factory(oracle, own, endpoints):
+        return lambda report: abs(own.a - oracle.outcome(report))
+    return full_scan(target, instance, agent, grid, 1e-12, factory, True)
+
+
+def criterion_6_suite():
+    gen = np.random.Generator(np.random.PCG64(606060))
+    combos = list(itertools.product((1, 3, 5, 7), (0.1, 0.2, 0.3)))
+    for i in range(200):
+        n, delta = combos[i % len(combos)]
+        yield i, random_instance(n, 1.0, delta, gen)
 
 
 class TestMinimaxDominanceAudit:
@@ -165,6 +226,103 @@ class TestMinimaxDominanceAudit:
         assert first == second
 
 
+class TestAuditByRepresentative:
+    """The memoized, early-stopping audit returns the full scan's report."""
+
+    def test_criterion_6_sample_matches_full_scan(self):
+        for i, inst in criterion_6_suite():
+            if i % 4:
+                continue
+            grid = DeviationGrid(endpoint_pitch=inst.delta / 20.0)
+            for kind in (EQ_MED, EQ_PH):
+                s = spec(kind, delta=inst.delta)
+                for agent in range(inst.n):
+                    fast = check_minimax_dominance(s, inst, agent, grid=grid)
+                    assert fast == full_minimax_scan(s, inst, agent, grid), (i, kind)
+                    if inst.n <= 3:
+                        slow = check_minimax_dominance(
+                            s, inst, agent, grid=grid, endpoint_shortcut=False
+                        )
+                        assert slow == full_minimax_scan(
+                            s, inst, agent, grid, endpoint_shortcut=False
+                        ), (i, kind)
+
+    def test_fine_grid_attack_matches_full_scan(self):
+        delta = 0.2
+        script = gen_fine_grid_attack(B=1.0, delta=delta, spacing=delta / 4, n=3)
+        target = GridAttackTarget(B=1.0, delta=delta, spacing=delta / 4)
+        grid = DeviationGrid(endpoint_pitch=delta / 20)
+        inst = script.instances[0]
+        for agent in range(inst.n):
+            fast = check_minimax_dominance(target, inst, agent, grid=grid)
+            assert fast == full_minimax_scan(target, inst, agent, grid)
+        assert check_minimax_dominance(
+            target, inst, script.params["wide_agent"], grid=grid
+        ).violated
+
+    def test_constant_and_exact_kinds_match_full_scan(self, rng):
+        grid = DeviationGrid(endpoint_pitch=0.01)
+        for _ in range(5):
+            inst = random_instance(4, 1.0, 0.2, rng)
+            points = validate_instance(
+                [((iv.a + iv.b) / 2,) * 2 for iv in inst.agents], 1.0, 0.2
+            )
+            for s, base in (
+                (spec(MechanismKind.CONSTANT, location=0.3), inst),
+                (spec(MechanismKind.EXACT_MEDIAN), points),
+                (spec(MechanismKind.EXACT_PHANTOM_HALF), points),
+            ):
+                for agent in range(base.n):
+                    fast = check_minimax_dominance(s, base, agent, grid=grid)
+                    assert fast == full_minimax_scan(s, base, agent, grid), s
+
+    def test_identity_grid_matches_full_scan(self, rng):
+        inst = random_instance(5, 1.0, 0.0, rng)
+        s = spec(EQ_MED, delta=0.0)
+        grid = DeviationGrid(endpoint_pitch=1.0 / 20)
+        for agent in range(inst.n):
+            fast = check_minimax_dominance(s, inst, agent)
+            assert fast == full_minimax_scan(s, inst, agent, grid)
+
+    def test_very_weak_spacing_target_matches_full_scan(self, rng):
+        target = GridAttackTarget(B=1.0, delta=0.2, spacing=0.05)
+        grid = DeviationGrid(endpoint_pitch=0.01)
+        for _ in range(5):
+            pts = [float(x) for x in rng.uniform(0, 1, 3)]
+            for agent in range(3):
+                fast = check_very_weak_dominance_exact(target, pts, agent, grid=grid)
+                assert fast == full_very_weak_scan(target, pts, agent, grid)
+
+    def test_regret_scored_once_per_representative(self, monkeypatch):
+        calls = []
+
+        def counted(outcome, *args, **kwargs):
+            calls.append(outcome)
+            return agent_max_regret(outcome, *args, **kwargs)
+
+        monkeypatch.setattr(dominance_module, "agent_max_regret", counted)
+        inst = validate_instance(
+            [(0.12, 0.28), (0.33, 0.47), (0.81, 0.99)], B=1, delta=0.2
+        )
+        s = spec(EQ_MED)
+        for agent in range(inst.n):
+            calls.clear()
+            check_minimax_dominance(s, inst, agent, grid=DeviationGrid(0.001))
+            assert len(calls) <= run_mechanism(s, inst).grid.size
+
+    @pytest.mark.parametrize("n", [51, 101])
+    @pytest.mark.parametrize("kind", [EQ_MED, EQ_PH], ids=["median", "phantom-half"])
+    def test_clean_at_fine_pitch_for_many_agents(self, n, kind):
+        # Deviation endpoints every delta/100: about 50 000 candidate
+        # intervals per audit, a budget only the early stop makes cheap.
+        delta = 0.2
+        inst = random_instance(n, 1.0, delta, np.random.default_rng(n))
+        grid = DeviationGrid(endpoint_pitch=delta / 100)
+        for agent in range(n):
+            rep = check_minimax_dominance(spec(kind), inst, agent, grid=grid)
+            assert not rep.violated and rep.gain <= 1e-9, (agent, rep)
+
+
 class TestDeviationGrid:
     @pytest.mark.parametrize("B,pitch,count", [
         (0.3, 0.1, 4), (0.7, 0.1, 8), (0.9, 0.3, 4),
@@ -243,6 +401,23 @@ class TestVwdChain:
         with pytest.raises(ValueError):
             gen_vwd_chain(B=1.0, delta=0.2, eps=0.05, eps1=0.05)
 
+    @pytest.mark.parametrize("B,delta,eps,eps1,n", [
+        (1.0, 0.2, 0.05, 0.01, 3), (1.0, 0.3, 0.1, 0.02, 2),
+        (2.5, 0.2, 0.15, 0.1, 4), (0.95, 0.19, 0.05, 0.04, 1),
+    ])
+    def test_report_count_is_bounded_from_the_widths(self, B, delta, eps, eps1, n):
+        script = gen_vwd_chain(B=B, delta=delta, eps=eps, eps1=eps1, n=n)
+        steps = (B - eps) / (delta - eps1) + 2
+        assert sum(inst.n for inst in script.instances) <= n * (1 + n * steps)
+
+    def test_refuses_chain_beyond_cap(self, monkeypatch):
+        with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
+            gen_vwd_chain(B=1e12, delta=0.2, eps=0.05, eps1=0.01)
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 50)
+        with pytest.raises(OracleScaleError):
+            gen_vwd_chain(B=1.0, delta=0.2, eps=0.05, eps1=0.01, n=3)
+        assert gen_vwd_chain(B=1.0, delta=0.2, eps=0.05, eps1=0.01, n=2).instances
+
 
 class TestFiniteRangeAttack:
     def test_case_one_ladder(self):
@@ -313,6 +488,10 @@ class TestFineGridAttack:
         with pytest.raises(ValueError):
             gen_fine_grid_attack(B=1.0, delta=0.2, spacing=0.1, n=3)
 
+    def test_rejects_spacing_too_fine_for_the_domain(self):
+        with pytest.raises(ValueError, match="too fine"):
+            gen_fine_grid_attack(B=1e300, delta=1e300, spacing=1e-300, n=3)
+
 
 class TestGeneratedInstancesValidate:
     def test_all_families(self):
@@ -329,3 +508,21 @@ class TestGeneratedInstancesValidate:
                     [(iv.a, iv.b) for iv in inst.agents], inst.B, inst.delta
                 )
                 assert rebuilt.n == inst.n
+
+
+@pytest.mark.parametrize("B,delta", [
+    (math.inf, 0.2), (math.nan, 0.2), (-1.0, 0.2), (0.0, 0.0),
+    (1.0, math.nan), (1.0, math.inf), (1.0, 2.0),
+], ids=["B-inf", "B-nan", "B-negative", "B-zero", "delta-nan", "delta-inf",
+        "delta-above-B"])
+@pytest.mark.parametrize("make", [
+    lambda B, delta: gen_vwd_chain(B, delta, 0.05, 0.01),
+    lambda B, delta: gen_finite_range_attack(
+        (0.0, 0.1, 0.2, 0.3), 0.01, 5, "one", B, delta
+    ),
+    lambda B, delta: gen_onto_attack(0.2, 0.3, 0.38, 0.02, 4, B, delta),
+    lambda B, delta: gen_fine_grid_attack(B, delta, 0.05),
+], ids=["vwd-chain", "finite-range", "onto", "fine-grid"])
+def test_generators_check_the_domain_first(make, B, delta):
+    with pytest.raises(InvalidInstanceError):
+        make(B, delta)
