@@ -41,6 +41,7 @@ from .optimal import grid_search_minimax, solve_minimax_avgcost, solve_minimax_m
 from .regret import (
     Objective,
     OracleScaleError,
+    _check_report_count,
     avgcost_max_regret,
     brute_force_max_regret,
     maxcost_max_regret,
@@ -88,9 +89,11 @@ def random_instance(n: int, B: float, delta: float, rng_state) -> Instance:
     """Draw an instance: width uniform in [0, delta], left end uniform in
     [0, B - width].  ``rng_state`` is a numpy Generator or an integer seed
     for PCG64 (documented so seeds reproduce across implementations).
-    ``B`` and ``delta`` are checked before anything is drawn."""
+    ``n``, ``B`` and ``delta`` are checked before anything is drawn; more
+    than ``ORACLE_CAP`` agents raise :class:`OracleScaleError`."""
     if n < 1:
         raise InvalidInstanceError(f"need at least one agent, got n={n}")
+    _check_report_count(n, lambda: n, f"an instance of {n} agents")
     _check_domain(B, delta)
     rng = (
         rng_state
@@ -129,6 +132,8 @@ class ExperimentConfig:
             raise InvalidInstanceError(
                 f"oracle_step must be positive and finite, got {self.oracle_step}"
             )
+        for n in self.n_values:
+            _check_report_count(n, lambda: n, f"an instance of {n} agents")
         # A bad descriptor fails here, before any trial runs.
         for descriptor in self.mechanisms:
             for delta in self.delta_values:

@@ -4,7 +4,9 @@ Agents report closed intervals on the segment [0, B] instead of exact
 points; every report is at most ``delta`` wide.  This module holds the
 validated instance model, the sorted endpoint view that every regret
 formula consumes, the equispaced grids used by the snapping mechanisms,
-and the shared upper-median convention.
+and the shared upper-median convention.  Grids exist for ``delta > 0``
+only: at ``delta = 0`` every report is a point and represents itself, so
+there is no grid to snap to.
 
 All types are immutable and all operations are pure functions, so
 everything here can be used concurrently without synchronization.  The
@@ -136,14 +138,12 @@ class Grid:
     """The finite range of a snapping mechanism.
 
     Points are generated as ``points[0] + m * spacing`` (never by repeated
-    addition) so that equal positions compare equal.  ``exact_flag`` marks
-    the degenerate ``delta = 0`` grid on which snapping is the identity.
+    addition) so that equal positions compare equal.
     """
 
     points: tuple[float, ...]
     anchor: str  # "zero" or "half"
     spacing: float
-    exact_flag: bool = False
 
     @property
     def size(self) -> int:
@@ -220,17 +220,19 @@ def build_grid(B: float, delta: float, anchor: str = "zero") -> Grid:
 
     The zero grid is {0, d, 2d, ...} up to the largest multiple of d that
     fits below B; the half grid extends symmetrically from B/2 in steps of
-    d in both directions.  ``delta = 0`` yields the identity grid.
+    d in both directions.  ``B`` must be positive and finite and ``delta``
+    must lie in (0, B]: at ``delta = 0`` reports are exact and represent
+    themselves, so there is no grid.  A ``delta`` whose half rounds to 0
+    is refused the same way.
     """
     if anchor not in ("zero", "half"):
         raise ValueError(f"unknown grid anchor {anchor!r}")
-    if not B > 0:
-        raise ValueError(f"domain bound B must be positive, got {B}")
-    if not 0 <= delta <= B:
-        raise ValueError(f"delta must lie in [0, B], got {delta}")
-    if delta == 0:
-        return Grid(points=(), anchor=anchor, spacing=0.0, exact_flag=True)
+    _check_domain(B, delta)
     spacing = delta / 2.0
+    if spacing == 0:
+        raise ValueError(
+            f"delta = {delta} has no grid: exact reports represent themselves"
+        )
     return _build_spaced_grid(B, spacing, anchor)
 
 
@@ -255,7 +257,7 @@ def _build_spaced_grid(B: float, spacing: float, anchor: str) -> Grid:
         if pts[-1] > B + slack:
             raise AssertionError("grid extends above B")
         pts[-1] = B
-    return Grid(points=tuple(pts), anchor=anchor, spacing=spacing, exact_flag=False)
+    return Grid(points=tuple(pts), anchor=anchor, spacing=spacing)
 
 
 def _snap_index(point: float, owning_interval: Interval, grid: Grid) -> int:
@@ -284,9 +286,7 @@ def _snap_index(point: float, owning_interval: Interval, grid: Grid) -> int:
 
 
 def snap(point: float, owning_interval: Interval, grid: Grid) -> float:
-    """Snap ``point`` to the nearest grid point (identity on exact grids)."""
-    if grid.exact_flag:
-        return point
+    """Snap ``point`` to the nearest grid point."""
     return grid.points[_snap_index(point, owning_interval, grid)]
 
 

@@ -8,10 +8,11 @@ grid, not dominance over the continuum.
 
 A deviation moves the outcome only through its representative, so the
 regret is computed once per representative.  On a grid kind every
-representative is a grid point and every grid point is reached by its own
-exact report, so the least regret over the grid points is the least over
-all deviations; the lexicographic scan stops at the first deviation that
-reaches it.  The report equals that of a full scan.
+representative is a grid point, and the constant's only representative is
+its location; each of these is reached by its own exact report, so the
+least regret over them is the least over all deviations, and the
+lexicographic scan stops at the first deviation that reaches it.  The
+report equals that of a full scan.
 
 The agent's worst-case regret minimizes over her own alternative behaviour,
 including randomized behaviour; since her cost is linear in the mixing
@@ -31,10 +32,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from . import regret
 from .core import Instance, Interval, _check_domain, validate_instance
 from .mechanisms import MechanismKind, MechanismSpec
-from .regret import OracleScaleError, _interval_lattice, agent_max_regret
+from .regret import _check_report_count, _interval_lattice, agent_max_regret
 
 __all__ = [
     "AdversarialScript",
@@ -55,9 +55,10 @@ class DeviationGrid:
     """Finite proxy for the agent's report space.
 
     Candidate report endpoints are all multiples of ``endpoint_pitch`` in
-    [0, B] (the last one pinned onto B), every grid point of the audited
-    mechanism, and the agent's own true endpoints (the truthful report must
-    be a candidate).  The pitch passes the oracle's step-lattice check: not
+    [0, B] (the last one pinned onto B), every representative the audited
+    mechanism can reach (its grid points, or the constant's location), and
+    the agent's own true endpoints (the truthful report must be a
+    candidate).  The pitch passes the oracle's step-lattice check: not
     positive and finite is a ``ValueError``, more than ``ORACLE_CAP``
     multiples an ``OracleScaleError``.
     """
@@ -114,8 +115,13 @@ class _OutcomeOracle:
     def __init__(self, target: MechanismSpec, instance: Instance, agent: int):
         target.check(instance)
         grid, self.represent, self._aggregate = target.resolve()
-        # Empty for the exact kinds, the constant and the identity grid.
-        self.grid_points = grid.points if grid is not None else ()
+        # Every representative the mechanism can reach, each reached by its
+        # own exact report.  Empty for the exact kinds, whose reports
+        # represent themselves.
+        if target.kind is MechanismKind.CONSTANT:
+            self.reachable = (target.location,)
+        else:
+            self.reachable = grid.points if grid is not None else ()
         self._others = sorted(
             self.represent(iv) for i, iv in enumerate(instance.agents) if i != agent
         )
@@ -153,7 +159,7 @@ def _audit_setup(
         grid = DeviationGrid(endpoint_pitch=pitch)
     oracle = _OutcomeOracle(target, instance, agent)
     own = instance.agents[agent]
-    endpoints = grid.candidate_endpoints(target.B, oracle.grid_points + (own.a, own.b))
+    endpoints = grid.candidate_endpoints(target.B, oracle.reachable + (own.a, own.b))
     if own.a not in endpoints or own.b not in endpoints:
         raise ValueError(
             "deviation grid does not contain the agent's own endpoints"
@@ -171,11 +177,10 @@ def _first_minimum(
 ) -> DominanceReport:
     """Scan deviations in order, keeping the first one of least cost.
 
-    ``cost`` scores an outcome; each representative is scored once.  With
-    a grid, the scan stops at the first deviation reaching the least score
-    over the grid points (see the module docstring), the one a full scan
-    keeps.  Exact kinds, the constant and the identity grid are scanned to
-    the end.
+    ``cost`` scores an outcome; each representative is scored once.  The
+    scan stops at the first deviation reaching the least score over the
+    reachable representatives (see the module docstring), the one a full
+    scan keeps.  Exact kinds, which have none, are scanned to the end.
 
     A ``tolerance`` that is not non-negative and finite is a ``ValueError``.
     """
@@ -190,7 +195,7 @@ def _first_minimum(
             scores[rep] = cost(oracle.outcome_of(rep))
         return scores[rep]
 
-    floor = min(map(score, oracle.grid_points), default=-math.inf)
+    floor = min(map(score, oracle.reachable), default=-math.inf)
     truthful_cost = score(oracle.represent(truthful))
     best_dev = None
     best_cost = math.inf
@@ -225,12 +230,12 @@ def check_minimax_dominance(
     Scans every deviation interval with endpoints on the deviation grid, in
     lexicographic order (ties kept on the first minimum, so the reported
     best deviation is the lexicographically smallest).  The regret is
-    computed once per representative, and on a grid kind the scan stops at
-    the first deviation reaching the least regret over the grid points;
-    the report equals that of a full scan.  Exact reports are very weakly
-    dominant for every mechanism spec, so the endpoint shortcut for the
-    agent's worst-case regret is valid; pass ``endpoint_shortcut=False`` to
-    force the sampled-location fallback.
+    computed once per representative, and on a grid kind or the constant
+    the scan stops at the first deviation reaching the least regret over
+    the reachable representatives; the report equals that of a full scan.
+    Exact reports are very weakly dominant for every mechanism spec, so the
+    endpoint shortcut for the agent's worst-case regret is valid; pass
+    ``endpoint_shortcut=False`` to force the sampled-location fallback.
     """
     grid, oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
     responses: dict[float, float] = {}
@@ -301,14 +306,12 @@ def gen_vwd_chain(
         raise ValueError("need at least one agent")
     # The walk advances delta - eps1 per step, so it takes at most
     # (B - eps) / (delta - eps1) + 2 steps; each agent walks it in turn,
-    # and every instance on the way holds n reports.  n is compared alone
-    # first, because an int beyond float range cannot join the product.
+    # and every instance on the way holds n reports.
     steps = (B - eps) / (delta - eps1) + 2
-    if n > regret.ORACLE_CAP or n * (1 + n * steps) > regret.ORACLE_CAP:
-        raise OracleScaleError(
-            f"oracle scale exceeded: a chain of {n} agents over {steps:.3g} "
-            f"steps holds more than {regret.ORACLE_CAP} reports"
-        )
+    _check_report_count(
+        n, lambda: n * (1 + n * steps),
+        f"a chain of {n} agents over {steps:.3g} steps",
+    )
     walk = [(0.0, eps)]
     prev_b = eps
     i = 1
@@ -357,7 +360,8 @@ def gen_finite_range_attack(
     widens the g1 reporters one at a time to [g1, g2 - gamma]; case two
     mirrors it, widening the g2 reporters to [g1 + gamma, g2].  A pinned
     outcome along the ladder forces a regret gap near half the gap between
-    g1 and g2 on the final instance.
+    g1 and g2 on the final instance.  A ladder of more than ``ORACLE_CAP``
+    reports, about n (n/2 + 2), raises :class:`OracleScaleError`.
     """
     _check_domain(B, delta)
     if len(g) != 4 or not all(g[i] < g[i + 1] for i in range(3)):
@@ -373,6 +377,10 @@ def gen_finite_range_attack(
         raise ValueError("widened report would exceed the width bound")
     if n < 2:
         raise ValueError("need at least two agents")
+    # At most n // 2 + 2 instances of n reports each, in either case.
+    _check_report_count(
+        n, lambda: n * (n // 2 + 2), f"a finite-range ladder of {n} agents"
+    )
     k = n // 2
     low = [(g1, g1)] * (k + 1)
     high = [(g2, g2)] * (n - k - 1)
@@ -419,7 +427,8 @@ def gen_onto_attack(
     at z = (ell + r)/2 - eps; the three comparison profiles move the
     interval agent to its endpoints and the z agent to the mirror point
     2z - ell.  A mechanism that behaves like a fixed-point median on exact
-    reports ends up rewarding the z agent's deviation.
+    reports ends up rewarding the z agent's deviation.  More than
+    ``ORACLE_CAP`` reports, 4n, raise :class:`OracleScaleError`.
     """
     _check_domain(B, delta)
     if not (y_j < ell < r):
@@ -430,6 +439,7 @@ def gen_onto_attack(
         raise ValueError(f"need 0 < eps < (r - ell)/2, got eps={eps}")
     if n < 3:
         raise ValueError("need at least three agents")
+    _check_report_count(n, lambda: 4 * n, f"an onto trap of {n} agents")
     z = (ell + r) / 2.0 - eps
     j = n // 2
     prefix = [(y_j, y_j)] * (n - j - 1)
@@ -465,7 +475,8 @@ def gen_fine_grid_attack(
     representative sits a full grid step left of the report's midpoint,
     and the remaining agents pin the output on that representative.
     Deviating to the grid point nearest the midpoint strictly lowers the
-    agent's worst-case regret by roughly one grid step.
+    agent's worst-case regret by roughly one grid step.  More than
+    ``ORACLE_CAP`` agents raise :class:`OracleScaleError`.
     """
     _check_domain(B, delta)
     if not 0 < spacing < delta / 2.0:
@@ -476,6 +487,7 @@ def gen_fine_grid_attack(
         raise ValueError(f"spacing {spacing} too fine for the domain [0, {B}]")
     if n < 3 or n % 2 == 0:
         raise ValueError("need an odd number of agents, at least three")
+    _check_report_count(n, lambda: n, f"a fine-grid attack of {n} agents")
     if B < 6 * spacing:
         raise ValueError("domain too short for the construction")
     s = spacing

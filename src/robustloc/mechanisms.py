@@ -6,8 +6,8 @@ or a grid point for the equispaced kinds (a case analysis on how many grid
 points the snapped interval covers).  An aggregator then combines the
 representatives: the upper median, the median of the extremes and the
 phantom point B/2, or a constant that ignores reports.  With ``delta = 0``
-the grid is the identity, so the equispaced kinds degrade exactly to their
-classical counterparts.
+there is no grid: the equispaced kinds take the exact rule, every report
+representing itself, and so are exactly their classical counterparts.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .core import (
     Instance,
     Interval,
     _build_spaced_grid,
+    _check_domain,
     _snap_index,
-    build_grid,
     merged_upper_median,
 )
 from .regret import _lattice_steps
@@ -53,6 +53,7 @@ class MechanismKind(Enum):
 
 
 _EXACT_KINDS = (MechanismKind.EXACT_MEDIAN, MechanismKind.EXACT_PHANTOM_HALF)
+_GRID_KINDS = (MechanismKind.EQUISPACED_MEDIAN, MechanismKind.EQUISPACED_PHANTOM_HALF)
 _MEDIAN_KINDS = (MechanismKind.EXACT_MEDIAN, MechanismKind.EQUISPACED_MEDIAN)
 
 #: ``represent(report)`` maps one report to its representative.
@@ -68,7 +69,8 @@ class MechanismSpec:
 
     The equispaced kinds require ``delta`` as designer knowledge: their
     guarantees are stated for reports no wider than it.  ``location`` is
-    the constant mechanism's fixed output.
+    the constant mechanism's fixed output.  A ``B`` that is not positive
+    and finite, or a ``delta`` outside [0, B], is rejected on construction.
 
     ``spacing`` is allowed for the equispaced median only and replaces its
     ``delta/2`` grid pitch.  With ``spacing = delta/2`` the mechanism
@@ -86,6 +88,7 @@ class MechanismSpec:
     spacing: float | None = None
 
     def __post_init__(self):
+        _check_domain(self.B, self.delta)
         if self.kind is MechanismKind.CONSTANT:
             if self.location is None:
                 raise MechanismError("constant mechanism needs a location")
@@ -117,7 +120,8 @@ class MechanismSpec:
         """Whether the mechanism accepts only exact (single-point) reports.
 
         True for the exact kinds and for the equispaced kinds at
-        ``delta = 0``, whose identity grid represents points only.
+        ``delta = 0``, which take the exact rule: each report represents
+        itself.
         """
         if self.kind is MechanismKind.CONSTANT:
             return False
@@ -148,24 +152,22 @@ class MechanismSpec:
 
         Callers resolve once and reuse the rules for every report, so no
         per-report dispatch on ``kind`` is paid.  The constant's rules map
-        every report, and every profile, to its location.  A grid of more
-        than ``ORACLE_CAP`` points raises ``OracleScaleError``.
+        every report, and every profile, to its location.  A grid spacing
+        that is not positive (``delta / 2`` can round to 0) raises
+        ``ValueError``, and a grid of more than ``ORACLE_CAP`` points
+        ``OracleScaleError``.
         """
         kind = self.kind
         if kind is MechanismKind.CONSTANT:
             fixed = partial(_fixed, self.location)
             return None, fixed, fixed
-        if kind in _EXACT_KINDS:
+        if self.exact_only:
             grid, represent = None, _exact_point
         else:
             anchor = "zero" if kind is MechanismKind.EQUISPACED_MEDIAN else "half"
             spacing = self.delta / 2.0 if self.spacing is None else self.spacing
-            if spacing > 0:
-                _lattice_steps(self.B, spacing)  # counted before any is built
-            if self.spacing is None:
-                grid = build_grid(self.B, self.delta, anchor=anchor)
-            else:
-                grid = _build_spaced_grid(self.B, self.spacing, anchor)
+            _lattice_steps(self.B, spacing)  # counted before any is built
+            grid = _build_spaced_grid(self.B, spacing, anchor)
             allow_wide = self.spacing is not None
 
             # A closure, not a keyword partial: it runs once per deviation
@@ -180,7 +182,11 @@ class MechanismSpec:
 
 @dataclass(frozen=True)
 class MechanismOutcome:
-    """The chosen point, plus per-agent representatives for grid kinds."""
+    """The chosen point, plus per-agent representatives for the equispaced kinds.
+
+    ``grid`` is ``None`` where none is built: at ``delta = 0`` and for the
+    other kinds.
+    """
 
     p: float
     representatives: tuple[float, ...]
@@ -200,12 +206,6 @@ def select_representative(
     grid is finer than the reports allow and is only legal for attack
     targets (``allow_wide``).
     """
-    if grid.exact_flag:
-        if not interval.is_exact:
-            raise GridMismatchError(
-                "identity grid cannot represent a non-degenerate interval"
-            )
-        return interval.a
     a, b = interval.a, interval.b
     ix = _snap_index(a, interval, grid)
     iy = _snap_index(b, interval, grid)
@@ -251,5 +251,5 @@ def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     # Any one representative can play the report that joins the others.
     p = aggregate(sorted(reps[1:]), reps[0])
     return MechanismOutcome(
-        p=p, representatives=reps if grid is not None else (), grid=grid
+        p=p, representatives=reps if spec.kind in _GRID_KINDS else (), grid=grid
     )

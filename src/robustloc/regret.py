@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -159,44 +159,55 @@ def maxcost_max_regret(instance: Instance, p: float) -> RegretEvaluation:
     return _evaluate(_MaxCostEvaluator(sorted_endpoints(instance)), p)
 
 
-def _lattice_steps(width: float, step: float, cap: int | None = None) -> int:
+def _lattice_steps(width: float, step: float) -> int:
     """Whole steps of ``step`` in ``width``, up to a 1e-9 relative allowance.
 
     The one check of every step lattice, made from the width before any
     point is built: a step that is not positive and finite raises
-    ``ValueError``, and a lattice of more than ``cap`` multiples (by
-    default ``ORACLE_CAP``, read at call time) raises :class:`OracleScaleError`.
+    ``ValueError``, and a lattice of more than ``ORACLE_CAP`` multiples
+    (read at call time) raises :class:`OracleScaleError`.
     """
     if not 0 < step < math.inf:
         raise ValueError(f"lattice step must be positive and finite, got {step}")
-    cap = ORACLE_CAP if cap is None else cap
     q = width / step + 1e-9
-    if q >= cap:
+    if q >= ORACLE_CAP:
         raise OracleScaleError(
             f"oracle scale exceeded: a step-{step} lattice over width {width} "
-            f"has more than {cap} points"
+            f"has more than {ORACLE_CAP} points"
         )
     return int(math.floor(q))
 
 
-def _lattice_size(interval: Interval, step: float, cap: int | None = None) -> int:
+def _check_report_count(n: int, reports: Callable[[], float], what: str) -> None:
+    """Refuse a family of more than ``ORACLE_CAP`` reports before any is built.
+
+    ``what`` names the family of ``n`` agents and ``reports()`` counts its
+    reports.  ``n`` is compared alone first, so ``reports()`` runs only for
+    an ``n`` within the cap: an int beyond float range never enters a float
+    product.  Raises :class:`OracleScaleError`.
+    """
+    if n > ORACLE_CAP or reports() > ORACLE_CAP:
+        raise OracleScaleError(
+            f"oracle scale exceeded: {what} holds more than {ORACLE_CAP} reports"
+        )
+
+
+def _lattice_size(interval: Interval, step: float) -> int:
     """Length of ``_interval_lattice(interval, step)``, counted, not built."""
     a, b = interval.a, interval.b
-    m = _lattice_steps(max(b - a, 0.0), step, cap)
+    m = _lattice_steps(max(b - a, 0.0), step)
     if b <= a:
         return 1
     return m + 1 + int(b - (a + step * m) > step * 1e-9)
 
 
-def _interval_lattice(
-    interval: Interval, step: float, cap: int | None = None
-) -> np.ndarray:
+def _interval_lattice(interval: Interval, step: float) -> np.ndarray:
     """Discretize [a, b] at pitch ``step`` with both endpoints included.
 
     The last multiple of ``step`` is pinned onto b when it lands within
     ``step * 1e-9`` of it (or beyond), so no point leaves the interval.
     """
-    size = _lattice_size(interval, step, cap)
+    size = _lattice_size(interval, step)
     a, b = interval.a, interval.b
     if b <= a:
         return np.array([a])
@@ -210,23 +221,21 @@ def brute_force_max_regret_batch(
     ps: Sequence[float],
     objective: Objective,
     step: float,
-    cap: int | None = None,
 ) -> list[float]:
     """Enumerate discretized realizations once and evaluate several p.
 
     The product lattice is walked in fixed mixed-radix order, so results
     are deterministic; realizations are processed in chunks to bound
     memory.  Raises :class:`OracleScaleError` when the enumeration would
-    exceed ``cap`` vectors (by default ``ORACLE_CAP``, read at call time).
+    exceed ``ORACLE_CAP`` vectors (read at call time).
     """
-    cap = ORACLE_CAP if cap is None else cap
-    sizes = [_lattice_size(iv, step, cap) for iv in instance.agents]
+    sizes = [_lattice_size(iv, step) for iv in instance.agents]
     total = math.prod(sizes)
-    if total > cap:
+    if total > ORACLE_CAP:
         raise OracleScaleError(
-            f"oracle scale exceeded: {total} realization vectors > cap {cap}"
+            f"oracle scale exceeded: {total} realization vectors > cap {ORACLE_CAP}"
         )
-    lattices = [_interval_lattice(iv, step, cap) for iv in instance.agents]
+    lattices = [_interval_lattice(iv, step) for iv in instance.agents]
     n = instance.n
     m = n // 2
     p_arr = np.asarray(ps, dtype=float)
@@ -262,10 +271,9 @@ def brute_force_max_regret(
     p: float,
     objective: Objective,
     step: float,
-    cap: int | None = None,
 ) -> float:
     """Max regret of p by enumeration over discretized realizations."""
-    return brute_force_max_regret_batch(instance, [p], objective, step, cap=cap)[0]
+    return brute_force_max_regret_batch(instance, [p], objective, step)[0]
 
 
 def agent_max_regret(

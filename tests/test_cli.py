@@ -313,12 +313,48 @@ class TestCommandLine:
          {"B": 1.0, "delta": 0.2, "agents": [{"a": 0.1, "b": float("nan")}]}),
         (["mechanism", "--kind", "equispaced-median"],
          {"B": float("inf"), "delta": 0.2, "agents": [{"a": 0.1, "b": 0.2}]}),
+        # delta / 2 underflows to a zero grid spacing.
+        (["mechanism", "--kind", "equispaced-median"],
+         {"B": 1.0, "delta": 5e-324, "agents": [{"a": 0.5, "b": 0.5}]}),
+        (["audit", "--kind", "equispaced-median"],
+         {"B": 1.0, "delta": 5e-324, "agents": [{"a": 0.5, "b": 0.5}]}),
     ])
     def test_non_finite_instance_rejected(self, command, data, tmp_path, capsys):
         path = write_instance(tmp_path / "nonfinite.json", data)
         assert main([*command, "--instance", path]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["gen", "--n", "11", "--B", "1", "--delta", "0.2", "--seed", "1"],
+        ["attack", "--family", "finite-range", "--delta", "0.2", "--n", "4",
+         "--g=0.0,0.1,0.2,0.3", "--gamma", "0.02"],
+        ["attack", "--family", "onto", "--delta", "0.1", "--n", "3",
+         "--yj", "0.2", "--ell", "0.3", "--r", "0.38", "--eps", "0.02"],
+        ["attack", "--family", "fine-grid", "--delta", "0.2", "--n", "11",
+         "--spacing", "0.05"],
+    ], ids=["gen", "finite-range", "onto", "fine-grid"])
+    def test_report_count_beyond_cap_exit_code(self, argv, monkeypatch, capsys):
+        # Counted from n before anything is built: 11 agents, a ladder of
+        # 4 * (4 // 2 + 2) = 16 reports, an onto trap of 4 * 3 = 12.
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 10)
+        assert main(argv) == EXIT_ORACLE_SCALE
+        captured = capsys.readouterr()
+        assert "more than 10 reports" in captured.err and not captured.out
+
+    def test_experiment_n_beyond_cap_exit_code(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 10)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "seed": 1, "trials": 1, "n_values": [3, 11], "B": 1.0,
+            "delta_values": [0.5], "objective": "avg",
+            "mechanisms": [{"kind": "equispaced-median"}],
+        }), encoding="utf-8")
+        code = main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == EXIT_ORACLE_SCALE
+        assert "an instance of 11 agents" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     def test_oracle_scale_exit_code(self, tmp_path, capsys):
         path = write_instance(

@@ -9,6 +9,8 @@ from robustloc import (
     GridMismatchError,
     Interval,
     InvalidInstanceError,
+    MechanismKind,
+    MechanismSpec,
     build_grid,
     select_representative,
     snap,
@@ -168,9 +170,21 @@ class TestBuildGrid:
         assert 0.5 in g.points
 
     def test_delta_zero_is_identity(self):
-        g = build_grid(1.0, 0.0, "zero")
-        assert g.exact_flag
-        assert snap(0.123, Interval(0.123, 0.123), g) == 0.123
+        # There is no identity grid: at delta = 0 exact reports represent
+        # themselves, so no grid is built.
+        with pytest.raises(ValueError, match="no grid"):
+            build_grid(1.0, 0.0, "zero")
+        spec = MechanismSpec(MechanismKind.EQUISPACED_MEDIAN, 1.0, 0.0)
+        grid, represent, _ = spec.resolve()
+        assert grid is None
+        assert represent(Interval(0.123, 0.123)) == 0.123
+
+    @pytest.mark.parametrize("B,delta", [
+        (math.inf, 0.2), (math.nan, 0.2), (1.0, math.nan), (1.0, 5e-324),
+    ])
+    def test_rejects_bad_domain(self, B, delta):
+        with pytest.raises(ValueError):
+            build_grid(B, delta)
 
     @pytest.mark.parametrize("anchor", ["zero", "half"])
     @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2, 0.3, 0.7])

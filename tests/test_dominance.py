@@ -310,6 +310,28 @@ class TestAuditByRepresentative:
             check_minimax_dominance(s, inst, agent, grid=DeviationGrid(0.001))
             assert len(calls) <= run_mechanism(s, inst).grid.size
 
+    def test_constant_audit_stops_at_its_first_deviation(self, monkeypatch):
+        # Every report of the constant is represented by its location, so
+        # the first deviation already reaches the least regret.
+        scanned = []
+        real = dominance_module._enumerate_deviations
+
+        def counted(*args):
+            for dev in real(*args):
+                scanned.append(dev)
+                yield dev
+
+        monkeypatch.setattr(dominance_module, "_enumerate_deviations", counted)
+        inst = validate_instance(
+            [(0.12, 0.28), (0.33, 0.47), (0.81, 0.99)], B=1, delta=0.2
+        )
+        for agent in range(inst.n):
+            scanned.clear()
+            rep = check_minimax_dominance(
+                spec(MechanismKind.CONSTANT, location=0.5), inst, agent
+            )
+            assert scanned == [Interval(0.0, 0.0)] == [rep.best_deviation]
+
     @pytest.mark.parametrize("n", [51, 101])
     @pytest.mark.parametrize("kind", [EQ_MED, EQ_PH], ids=["median", "phantom-half"])
     def test_clean_at_fine_pitch_for_many_agents(self, n, kind):

@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from robustloc import (
     GridMismatchError,
     Interval,
+    InvalidInstanceError,
     MechanismError,
     MechanismKind,
     MechanismSpec,
@@ -114,6 +117,15 @@ class TestRunMechanism:
     def test_constant_requires_location_in_domain(self):
         with pytest.raises(MechanismError):
             MechanismSpec(MechanismKind.CONSTANT, B=1, delta=0.2, location=1.5)
+
+    @pytest.mark.parametrize("B,delta", [
+        (math.inf, 0.2), (math.nan, 0.2), (0.0, 0.0), (-1.0, 0.0),
+        (1.0, -0.1), (1.0, 1.5), (1.0, math.nan), (1.0, math.inf),
+    ])
+    @pytest.mark.parametrize("kind", list(MechanismKind), ids=lambda k: k.value)
+    def test_spec_rejects_bad_domain_on_construction(self, kind, B, delta):
+        with pytest.raises(InvalidInstanceError):
+            MechanismSpec(kind, B=B, delta=delta, location=0.0)
 
     @pytest.mark.parametrize("kind,spacing", [
         (MechanismKind.EQUISPACED_PHANTOM_HALF, 0.05),

@@ -165,10 +165,12 @@ class TestBruteForceOracle:
 
         monkeypatch.setattr(regret_module, "_interval_lattice", recording)
         inst = uniform_instance([(0, 0.5)] * 3, delta=0.5)  # 51**3 vectors
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 51**3 - 1)
         with pytest.raises(OracleScaleError, match="oracle scale exceeded"):
-            brute_force_max_regret(inst, 0.3, AVG, step=0.01, cap=51**3 - 1)
+            brute_force_max_regret(inst, 0.3, AVG, step=0.01)
         assert built == []
-        brute_force_max_regret(inst, 0.3, AVG, step=0.01, cap=51**3)
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 51**3)
+        brute_force_max_regret(inst, 0.3, AVG, step=0.01)
         assert len(built) == 3
 
     def test_batch_matches_single(self):
