@@ -81,7 +81,7 @@ def instance_to_json(instance: Instance) -> dict:
     return {
         "B": instance.B,
         "delta": instance.delta,
-        "agents": [{"a": iv.a, "b": iv.b} for iv in instance.agents],
+        "agents": [{"a": a, "b": b} for a, b in zip(instance.lefts, instance.rights)],
     }
 
 
@@ -90,7 +90,14 @@ def random_instance(n: int, B: float, delta: float, rng_state) -> Instance:
     [0, B - width].  ``rng_state`` is a numpy Generator or an integer seed
     for PCG64 (documented so seeds reproduce across implementations).
     ``n``, ``B`` and ``delta`` are checked before anything is drawn; more
-    than ``ORACLE_CAP`` agents raise :class:`OracleScaleError`."""
+    than ``ORACLE_CAP`` agents raise :class:`OracleScaleError`.
+
+    The draw is one vector: agent i takes the uniforms ``u[2i]`` (width)
+    and ``u[2i + 1]`` (left end) of ``u = rng.random(2n)``, or ``u[i]``
+    (left end) of ``rng.random(n)`` at ``delta = 0``.  That is the order in
+    which drawing agent by agent with ``rng.uniform`` consumes the stream,
+    so the endpoints, and the state a shared Generator is left in, are the
+    same bit for bit."""
     if n < 1:
         raise InvalidInstanceError(f"need at least one agent, got n={n}")
     _check_report_count(n, lambda: n, f"an instance of {n} agents")
@@ -100,12 +107,14 @@ def random_instance(n: int, B: float, delta: float, rng_state) -> Instance:
         if isinstance(rng_state, np.random.Generator)
         else np.random.Generator(np.random.PCG64(rng_state))
     )
-    raw = []
-    for _ in range(n):
-        w = rng.uniform(0.0, delta) if delta > 0 else 0.0
-        a = rng.uniform(0.0, B - w)
-        raw.append((a, a + w))
-    return validate_instance(raw, B=B, delta=delta)
+    if delta > 0:
+        u = rng.random(2 * n)
+        w = delta * u[0::2]
+        a = (B - w) * u[1::2]
+    else:
+        w = 0.0
+        a = B * rng.random(n)
+    return validate_instance(np.column_stack((a, a + w)), B=B, delta=delta)
 
 
 @dataclass(frozen=True)

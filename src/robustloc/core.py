@@ -4,15 +4,19 @@ Agents report closed intervals on the segment [0, B] instead of exact
 points; every report is at most ``delta`` wide.  This module holds the
 validated instance model, the sorted endpoint view that every regret
 formula consumes, the equispaced grids used by the snapping mechanisms,
-and the shared upper-median convention.  Grids exist for ``delta > 0``
+and the shared upper-median convention.  An instance stores its left and
+right endpoints as two tuples of floats; validation checks them with
+numpy masks, and the per-agent ``Interval`` objects are built only when
+``agents`` is first read.  Grids exist for ``delta > 0``
 only: at ``delta = 0`` every report is a point and represents itself, so
 there is no grid to snap to.
 
 All types are immutable and all operations are pure functions, so
 everything here can be used concurrently without synchronization.  The
-one cache, the sorted endpoint view, is built on first use and memoized
-on its frozen instance; it is immutable too, so sharing it is safe (two
-threads racing on the first call at worst both build an equal view).
+caches, the sorted endpoint view and the ``agents`` tuple, are built on
+first use and memoized on their frozen instance; they are immutable too,
+so sharing them is safe (two threads racing on the first read at worst
+both build equal values).
 """
 
 from __future__ import annotations
@@ -21,8 +25,9 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "Grid",
@@ -81,33 +86,48 @@ class Instance:
     """A validated profile of interval reports on [0, B].
 
     ``delta`` bounds the width of every report; ``delta = 0`` is the exact
-    setting where every agent reports a single point.
+    setting where every agent reports a single point.  Agent ``i`` reports
+    ``[lefts[i], rights[i]]``; both are tuples of floats, so instances
+    compare and hash by value.
     """
 
     B: float
     delta: float
-    agents: tuple[Interval, ...]
+    lefts: tuple[float, ...]
+    rights: tuple[float, ...]
 
     @property
     def n(self) -> int:
-        return len(self.agents)
+        return len(self.lefts)
+
+    @cached_property
+    def agents(self) -> tuple[Interval, ...]:
+        """The reports as intervals, built on first read; not a field, so
+        ==, hash and repr ignore it."""
+        return tuple(map(Interval, self.lefts, self.rights))
 
     def replace_agent(self, index: int, interval: Interval) -> "Instance":
-        agents = list(self.agents)
-        agents[index] = interval
-        return Instance(self.B, self.delta, tuple(agents))
+        lefts, rights = list(self.lefts), list(self.rights)
+        lefts[index], rights[index] = interval.a, interval.b
+        return Instance(self.B, self.delta, tuple(lefts), tuple(rights))
 
     @cached_property
     def _sorted_endpoints(self) -> "SortedEndpoints":
         # The memo behind sorted_endpoints(); not a field, so ==, hash and
-        # repr ignore it.
-        L = tuple(sorted(iv.a for iv in self.agents))
-        R = tuple(sorted(iv.b for iv in self.agents))
+        # repr ignore it.  A stable sort keeps equal endpoints (0.0 and
+        # -0.0) in agent order, and cumsum adds left to right.
+        L = np.sort(np.array(self.lefts), kind="stable")
+        R = np.sort(np.array(self.rights), kind="stable")
         k = self.n // 2
         return SortedEndpoints(
-            L, R, k, (L[k] + R[k]) / 2.0,
-            tuple(accumulate(L, initial=0.0)), tuple(accumulate(R, initial=0.0)),
+            tuple(L.tolist()), tuple(R.tolist()), k, float((L[k] + R[k]) / 2.0),
+            _prefix_sums(L), _prefix_sums(R),
         )
+
+
+def _prefix_sums(values: np.ndarray) -> tuple[float, ...]:
+    """Running sums of ``values`` from 0.0, added left to right."""
+    return tuple(np.cumsum(np.concatenate(([0.0], values))).tolist())
 
 
 @dataclass(frozen=True)
@@ -168,38 +188,67 @@ def validate_instance(
     Rejects a non-finite ``B``, an empty profile and any interval with a NaN
     endpoint, a > b, a < 0, b > B or width above ``delta``; the error
     message names the offending agent.  Infinite endpoints fail the bounds.
+
+    Pairs of real numbers, a list of them or an (n, 2) array, are checked
+    all at once with array masks, and the per-agent checks then run on the
+    flagged agents in order, so the first agent they reject is named with
+    its own message.  Any other entry (None, a string, a tuple of another
+    length) sends the profile through the per-agent checks one by one,
+    which raise ``TypeError`` or ``ValueError`` on it rather than convert it.
     """
     _check_domain(B, delta)
-    if len(raw_intervals) == 0:
+    n = len(raw_intervals)
+    if n == 0:
         raise InvalidInstanceError("empty agent list")
     # Differences like 0.9 - 0.6 overshoot their decimal value by an ulp, so
     # the bounds are enforced up to representation noise, then pinned back.
     slack = 1e-12 * max(B, 1.0)
-    agents = []
-    for i, (a, b) in enumerate(raw_intervals):
-        if not a <= b:  # also true when either endpoint is NaN
-            if a > b:
-                raise InvalidInstanceError(
-                    f"agent {i}: left endpoint {a} exceeds right endpoint {b}",
-                    agent=i,
-                )
+    try:
+        ends = np.asarray(raw_intervals)
+    except ValueError:  # ragged entries
+        ends = None
+    if ends is None or ends.shape != (n, 2) or ends.dtype.kind not in "biuf":
+        for i, (a, b) in enumerate(raw_intervals):
+            _check_agent(i, a, b, B, delta, slack)
+        ends = np.array([(float(a), float(b)) for a, b in raw_intervals])
+    a, b = ends[:, 0].astype(float), ends[:, 1].astype(float)
+    # Endpoints may be NaN or infinite here, before they are rejected.
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad = ~(a <= b) | (a < -slack) | (b > B + slack) | (b - a > delta + slack)
+    for i in np.flatnonzero(bad).tolist():
+        _check_agent(i, *raw_intervals[i], B, delta, slack)
+    # Pinned with comparisons, not np.maximum/np.minimum: a left endpoint of
+    # -0.0 is not below 0 and keeps its sign.
+    a = np.where(a < 0, 0.0, a)
+    b = np.where(b > B, float(B), b)
+    return Instance(float(B), float(delta), tuple(a.tolist()), tuple(b.tolist()))
+
+
+def _check_agent(
+    i: int, a: float, b: float, B: float, delta: float, slack: float
+) -> None:
+    """The per-agent checks; raise ``InvalidInstanceError`` naming agent ``i``."""
+    if not a <= b:  # also true when either endpoint is NaN
+        if a > b:
             raise InvalidInstanceError(
-                f"agent {i}: NaN endpoint in ({a}, {b})", agent=i
+                f"agent {i}: left endpoint {a} exceeds right endpoint {b}",
+                agent=i,
             )
-        if a < -slack:
-            raise InvalidInstanceError(
-                f"agent {i}: left endpoint {a} below 0", agent=i
-            )
-        if b > B + slack:
-            raise InvalidInstanceError(
-                f"agent {i}: right endpoint {b} above B={B}", agent=i
-            )
-        if b - a > delta + slack:
-            raise InvalidInstanceError(
-                f"agent {i}: interval length {b - a} exceeds delta={delta}", agent=i
-            )
-        agents.append(Interval(max(float(a), 0.0), min(float(b), float(B))))
-    return Instance(float(B), float(delta), tuple(agents))
+        raise InvalidInstanceError(
+            f"agent {i}: NaN endpoint in ({a}, {b})", agent=i
+        )
+    if a < -slack:
+        raise InvalidInstanceError(
+            f"agent {i}: left endpoint {a} below 0", agent=i
+        )
+    if b > B + slack:
+        raise InvalidInstanceError(
+            f"agent {i}: right endpoint {b} above B={B}", agent=i
+        )
+    if b - a > delta + slack:
+        raise InvalidInstanceError(
+            f"agent {i}: interval length {b - a} exceeds delta={delta}", agent=i
+        )
 
 
 def sorted_endpoints(instance: Instance) -> SortedEndpoints:
@@ -223,7 +272,8 @@ def build_grid(B: float, delta: float, anchor: str = "zero") -> Grid:
     d in both directions.  ``B`` must be positive and finite and ``delta``
     must lie in (0, B]: at ``delta = 0`` reports are exact and represent
     themselves, so there is no grid.  A ``delta`` whose half rounds to 0
-    is refused the same way.
+    is refused the same way, and a grid of more than ``ORACLE_CAP`` points
+    raises ``OracleScaleError`` before any point is built.
     """
     if anchor not in ("zero", "half"):
         raise ValueError(f"unknown grid anchor {anchor!r}")
@@ -237,6 +287,11 @@ def build_grid(B: float, delta: float, anchor: str = "zero") -> Grid:
 
 
 def _build_spaced_grid(B: float, spacing: float, anchor: str) -> Grid:
+    # Counted before any point is built.  Imported here because regret
+    # imports this module.
+    from .regret import _lattice_steps
+
+    _lattice_steps(B, spacing)
     # Tolerant floor: B is often an exact multiple of the spacing in decimal
     # but not in binary, so allow a 1e-9 relative overshoot and pin the last
     # point back onto B when it lands above only through rounding.
@@ -283,6 +338,30 @@ def _snap_index(point: float, owning_interval: Interval, grid: Grid) -> int:
             return m + 1
         return m
     return m if frac < 0.5 else m + 1
+
+
+def _snap_indices(
+    points: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    pts: np.ndarray,
+    spacing: float,
+) -> np.ndarray:
+    """``_snap_index`` for many points at once.
+
+    Point ``j`` is owned by the interval ``[lo[j], hi[j]]``; ``pts`` and
+    ``spacing`` are the grid's points, as an array, and its spacing.  One
+    ``searchsorted`` finds every bracket; the clamp, the tie band and the
+    tie-break are those of ``_snap_index``.
+    """
+    last = len(pts) - 1
+    m = np.clip(np.searchsorted(pts, points, side="right") - 1, 0, last)
+    m1 = np.minimum(m + 1, last)
+    frac = (points - pts[m]) / spacing
+    left_in = (lo <= pts[m]) & (pts[m] <= hi)
+    right_in = (lo <= pts[m1]) & (pts[m1] <= hi)
+    up = np.where(np.abs(frac - 0.5) <= _TIE_BAND, right_in & ~left_in, frac >= 0.5)
+    return np.where(points <= pts[0], 0, np.where(points >= pts[-1], last, m + up))
 
 
 def snap(point: float, owning_interval: Interval, grid: Grid) -> float:

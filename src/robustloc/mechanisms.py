@@ -8,6 +8,11 @@ representatives: the upper median, the median of the extremes and the
 phantom point B/2, or a constant that ignores reports.  With ``delta = 0``
 there is no grid: the equispaced kinds take the exact rule, every report
 representing itself, and so are exactly their classical counterparts.
+
+``select_representative`` maps one report to its grid point; the audit,
+which varies one report at a time, uses it.  ``run_mechanism`` snaps a
+whole profile at once with the same rule in array form, which is tested
+against the one-report rule.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from enum import Enum
 from functools import partial
 from typing import Callable, Sequence
 
+import numpy as np
+
 from .core import (
     Grid,
     GridMismatchError,
@@ -26,9 +33,9 @@ from .core import (
     _build_spaced_grid,
     _check_domain,
     _snap_index,
+    _snap_indices,
     merged_upper_median,
 )
-from .regret import _lattice_steps
 
 __all__ = [
     "MechanismError",
@@ -134,8 +141,8 @@ class MechanismSpec:
                 f"instance bound B={instance.B} differs from mechanism B={self.B}"
             )
         if self.exact_only:
-            for i, iv in enumerate(instance.agents):
-                if not iv.is_exact:
+            for i, (a, b) in enumerate(zip(instance.lefts, instance.rights)):
+                if a != b:
                     raise MechanismError(
                         f"{self.kind.value} accepts only exact reports; "
                         f"agent {i} sent an interval"
@@ -166,7 +173,6 @@ class MechanismSpec:
         else:
             anchor = "zero" if kind is MechanismKind.EQUISPACED_MEDIAN else "half"
             spacing = self.delta / 2.0 if self.spacing is None else self.spacing
-            _lattice_steps(self.B, spacing)  # counted before any is built
             grid = _build_spaced_grid(self.B, spacing, anchor)
             allow_wide = self.spacing is not None
 
@@ -217,10 +223,40 @@ def select_representative(
             return x
         return x if a + b <= x + y else y
     if count < 1 or (count > 3 and not allow_wide):
-        raise GridMismatchError(
-            f"snapped interval covers {count} grid points; spacing/width mismatch"
-        )
+        raise _cover_mismatch(count)
     return pts[ix + (count - 1) // 2]
+
+
+def _cover_mismatch(count: int) -> GridMismatchError:
+    return GridMismatchError(
+        f"snapped interval covers {count} grid points; spacing/width mismatch"
+    )
+
+
+def _grid_representatives(
+    lefts: Sequence[float], rights: Sequence[float], grid: Grid, allow_wide: bool
+) -> tuple[float, ...]:
+    """``select_representative`` for a whole profile at once.
+
+    Agent ``i`` reports ``[lefts[i], rights[i]]``.  Both endpoints of every
+    report are snapped by one ``searchsorted`` rule, and the two-point and
+    left-median rules pick among the covered points with array masks.  A
+    refused cover count raises ``GridMismatchError`` for the first agent
+    that has one.  Representatives come back as floats, in agent order.
+    """
+    a, b = np.array(lefts), np.array(rights)
+    pts = np.array(grid.points)
+    ix = _snap_indices(a, a, b, pts, grid.spacing)
+    iy = _snap_indices(b, a, b, pts, grid.spacing)
+    count = iy - ix + 1
+    refused = (count < 1) | ((count > 3) & (not allow_wide))
+    if refused.any():
+        raise _cover_mismatch(int(count[np.argmax(refused)]))
+    x, y = pts[ix], pts[iy]
+    both_in = (a <= x) & (x <= b) & (a <= y) & (y <= b)
+    two_point = np.where(both_in | (a + b <= x + y), x, y)
+    left_median = pts[ix + (count - 1) // 2]
+    return tuple(np.where(count == 2, two_point, left_median).tolist())
 
 
 def _fixed(value: float, *_) -> float:
@@ -243,11 +279,19 @@ def _phantom_half(half: float, sorted_others: Sequence[float], rep: float) -> fl
 def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     """Apply a mechanism to a profile of reports: check, represent, aggregate.
 
-    Exact kinds and the constant report no representatives and no grid.
+    On a grid the whole profile is snapped at once, from the instance's
+    endpoint tuples, by the array form of ``select_representative``;
+    without one each report goes through the spec's own rule.  The chosen
+    point and the representatives are floats.  Exact kinds and the
+    constant report no representatives and no grid.
     """
     spec.check(instance)
     grid, represent, aggregate = spec.resolve()
-    reps = tuple(map(represent, instance.agents))
+    if grid is None:
+        reps = tuple(map(represent, instance.agents))
+    else:
+        allow_wide = spec.spacing is not None
+        reps = _grid_representatives(instance.lefts, instance.rights, grid, allow_wide)
     # Any one representative can play the report that joins the others.
     p = aggregate(sorted(reps[1:]), reps[0])
     return MechanismOutcome(

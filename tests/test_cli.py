@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import robustloc.regret as regret_module
@@ -86,6 +87,40 @@ class TestRandomInstance:
                 [(iv.a, iv.b) for iv in inst.agents], 1.0, 0.3
             )
             assert rebuilt == inst
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("n,seeds", [(1, 100), (5, 100), (50, 100), (20_000, 3)])
+    def test_matches_agent_by_agent_draw(self, n, seeds, delta):
+        # The n = 20 000 reference loop takes about 0.1 s a draw, so it
+        # runs on 3 seeds; the smaller sizes on 100.
+        for seed in range(seeds):
+            rng = np.random.Generator(np.random.PCG64(seed))
+            want = reference_draw(n, 1.0, delta, rng)
+            got = random_instance(n, 1.0, delta, seed)
+            assert tuple(zip(got.lefts, got.rights)) == want
+
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.3])
+    def test_shared_generator_left_in_the_same_state(self, delta):
+        for seed in range(20):
+            ours = np.random.Generator(np.random.PCG64(seed))
+            ref = np.random.Generator(np.random.PCG64(seed))
+            for n in (7, 50):
+                got = random_instance(n, 2.5, 2.5 * delta, ours)
+                assert tuple(zip(got.lefts, got.rights)) == reference_draw(
+                    n, 2.5, 2.5 * delta, ref
+                )
+            assert ours.random() == ref.random()
+
+
+def reference_draw(n, B, delta, rng):
+    """Agent by agent: width uniform in [0, delta], left end uniform in
+    [0, B - width], one ``rng.uniform`` call each."""
+    raw = []
+    for _ in range(n):
+        w = rng.uniform(0.0, delta) if delta > 0 else 0.0
+        a = rng.uniform(0.0, B - w)
+        raw.append((a, min(a + w, B)))
+    return tuple(raw)
 
 
 class TestRunExperiment:
@@ -481,3 +516,37 @@ class TestCommandLine:
         code = main(["mechanism", "--kind", "equispaced-median", "--instance", path])
         assert code == EXIT_ORACLE_SCALE
         assert "oracle scale exceeded" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("agents,message", [
+        ([{"a": 0.1, "b": 0.2}, {"a": None, "b": 0.3}], "malformed instance file"),
+        ([{"a": 0.1, "b": 0.2}, {"a": "0.2", "b": "0.3"}], "malformed instance file"),
+        ([{"a": 0.1, "b": 0.2}, [0.2, 0.3, 0.4]], "malformed instance file"),
+        ([{"a": math.inf, "b": math.inf}], "agent 0: right endpoint inf above B=1.0"),
+        ([{"a": -1e308, "b": 1e308}], "agent 0: left endpoint -1e+308 below 0"),
+        ([{"a": 0.1, "b": 0.2}, {"a": 0.5, "b": 0.4}, {"a": math.nan, "b": 0.1}],
+         "agent 1: left endpoint 0.5 exceeds right endpoint 0.4"),
+    ], ids=["none", "strings", "three-element", "inf-inf", "overflowing-width",
+            "first-bad-agent"])
+    def test_bad_entries_print_one_error_line(self, agents, message, tmp_path, capsys):
+        path = write_instance(
+            tmp_path / "bad.json", {"B": 1.0, "delta": 0.2, "agents": agents}
+        )
+        assert main(["mechanism", "--kind", "equispaced-median",
+                     "--instance", path]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert not captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and message in lines[0]
+
+    def test_oversized_deviation_scan_exit_code(self, tmp_path, capsys):
+        # Pitch 1e-6 gives about 1e6 candidate endpoints, each with about
+        # 1e5 partners within delta = 0.1: refused from the count, before
+        # the scan.
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", "3", "--B", "1", "--delta", "0.1",
+                     "--seed", "3", "--out", path]) == EXIT_OK
+        code = main(["audit", "--kind", "equispaced-median", "--instance", path,
+                     "--pitch", "1e-6", "--agent", "1"])
+        assert code == EXIT_ORACLE_SCALE
+        captured = capsys.readouterr()
+        assert "a deviation scan over" in captured.err and not captured.out

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +12,7 @@ from robustloc import (
     InvalidInstanceError,
     MechanismKind,
     MechanismSpec,
+    OracleScaleError,
     build_grid,
     select_representative,
     snap,
@@ -60,6 +62,71 @@ class TestValidateInstance:
         # 0.9 - 0.6 overshoots 0.3 by one ulp; that is not a real violation.
         inst = validate_instance([(0.0, 0.3), (0.6, 0.9)], B=1, delta=0.3)
         assert inst.n == 2
+
+    @pytest.mark.parametrize("bad,message", [
+        ((0.5, 0.4), "agent 1: left endpoint 0.5 exceeds right endpoint 0.4"),
+        ((math.nan, 0.4), "agent 1: NaN endpoint in (nan, 0.4)"),
+        ((0.1, math.nan), "agent 1: NaN endpoint in (0.1, nan)"),
+        ((-0.1, 0.0), "agent 1: left endpoint -0.1 below 0"),
+        ((0.9, 1.1), "agent 1: right endpoint 1.1 above B=1"),
+        ((0.0, 0.5), "agent 1: interval length 0.5 exceeds delta=0.2"),
+        ((-math.inf, 0.0), "agent 1: left endpoint -inf below 0"),
+        ((0.0, math.inf), "agent 1: right endpoint inf above B=1"),
+        ((5, 3), "agent 1: left endpoint 5 exceeds right endpoint 3"),
+    ])
+    def test_first_of_several_bad_agents_is_named(self, bad, message):
+        # Agents 2 and 3 fail other checks; the message is the one the
+        # per-agent checks give for agent 1, raw numbers as written.
+        raw = [(0.1, 0.2), bad, (0.9, 0.2), (math.nan, math.nan), (-1.0, 2.0)]
+        with pytest.raises(InvalidInstanceError) as exc:
+            validate_instance(raw, B=1, delta=0.2)
+        assert str(exc.value) == message and exc.value.agent == 1
+
+    @pytest.mark.parametrize("raw,error", [
+        ([(0.1, 0.2), (None, 0.3)], TypeError),
+        ([(0.1, 0.2), ("0.2", "0.3")], TypeError),
+        ([(0.1, 0.2), (0.2, 0.3, 0.4)], ValueError),
+        ([(0.1, 0.2, 0.3)], ValueError),
+        ([(0.1,)], ValueError),
+        ([0.1, 0.2], TypeError),
+    ])
+    def test_entries_that_are_not_pairs_of_numbers_raise(self, raw, error):
+        # Neither converted (None to NaN, "0.2" to 0.2) nor accepted.
+        with pytest.raises(error):
+            validate_instance(raw, B=1, delta=0.2)
+
+    def test_non_finite_endpoints_raise_no_warning(self):
+        # The masks meet inf - inf and an overflowing width; the test run
+        # turns any numpy RuntimeWarning into an error.
+        for raw in ([(math.inf, math.inf)], [(-1e308, 1e308)], [(-math.inf, math.inf)]):
+            with pytest.raises(InvalidInstanceError, match="agent 0"):
+                validate_instance(raw, B=1, delta=0.2)
+
+    def test_negative_zero_keeps_its_sign(self):
+        inst = validate_instance([(-0.0, 0.1), (0.0, -0.0)], B=1, delta=0.2)
+        assert math.copysign(1.0, inst.lefts[0]) == -1.0
+        assert math.copysign(1.0, inst.agents[0].a) == -1.0
+        assert math.copysign(1.0, inst.rights[1]) == -1.0
+        assert math.copysign(1.0, inst.lefts[1]) == 1.0
+
+    def test_endpoints_pinned_into_domain(self):
+        inst = validate_instance([(-1e-13, 0.1), (0.9, 1.0 + 1e-13)], B=1, delta=0.2)
+        assert inst.lefts == (0.0, 0.9) and inst.rights == (0.1, 1.0)
+        assert all(type(x) is float for x in inst.lefts + inst.rights)
+
+    def test_agents_are_the_endpoint_tuples_zipped(self, rng):
+        lefts = rng.uniform(0, 0.7, 50)
+        raw = [(float(a), float(a + w)) for a, w in zip(lefts, rng.uniform(0, 0.3, 50))]
+        inst = validate_instance(raw, B=1, delta=0.3)
+        assert inst.agents == tuple(map(Interval, inst.lefts, inst.rights))
+        assert inst.agents is inst.agents
+        assert inst == validate_instance(np.array(raw), B=1, delta=0.3)
+
+    def test_replace_agent_updates_both_endpoints(self):
+        inst = validate_instance([(0.1, 0.2), (0.3, 0.4)], B=1, delta=0.2)
+        moved = inst.replace_agent(1, Interval(0.5, 0.6))
+        assert moved.lefts == (0.1, 0.5) and moved.rights == (0.2, 0.6)
+        assert moved.agents[1] == Interval(0.5, 0.6)
 
 
 class TestSortedEndpoints:
@@ -185,6 +252,13 @@ class TestBuildGrid:
     def test_rejects_bad_domain(self, B, delta):
         with pytest.raises(ValueError):
             build_grid(B, delta)
+
+    @pytest.mark.parametrize("anchor", ["zero", "half"])
+    def test_point_count_checked_before_building(self, anchor):
+        # About 2e300 points: refused from the count, not by running out of
+        # memory while building them.
+        with pytest.raises(OracleScaleError):
+            build_grid(1.0, 1e-300, anchor)
 
     @pytest.mark.parametrize("anchor", ["zero", "half"])
     @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2, 0.3, 0.7])

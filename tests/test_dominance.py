@@ -368,6 +368,33 @@ class TestDeviationGrid:
             DeviationGrid(endpoint_pitch=0.01).candidate_endpoints(1.0)
         assert len(DeviationGrid(endpoint_pitch=0.05).candidate_endpoints(1.0)) == 21
 
+    @pytest.mark.parametrize("B,delta,pitch", [
+        (1.0, 0.2, 0.01), (1.0, 0.1, 0.005), (0.7, 0.3, 0.015), (2.5, 0.5, 0.05),
+    ])
+    @pytest.mark.parametrize("exact_only", [False, True])
+    def test_deviations_counted_before_the_scan(
+        self, B, delta, pitch, exact_only, monkeypatch
+    ):
+        # The count is that of the enumeration: a cap one below it refuses
+        # before the first deviation is built, a cap equal to it does not.
+        ends = DeviationGrid(endpoint_pitch=pitch).candidate_endpoints(B)
+        total = sum(1 for _ in _enumerate_deviations(ends, delta, exact_only))
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", total)
+        assert sum(1 for _ in _enumerate_deviations(ends, delta, exact_only)) == total
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", total - 1)
+        with pytest.raises(OracleScaleError, match="a deviation scan over"):
+            _enumerate_deviations(ends, delta, exact_only)
+
+    def test_audit_refuses_an_oversized_scan(self, monkeypatch):
+        # 103 candidate endpoints with up to 21 partners each: 1 995
+        # deviations, beyond a cap of 1 000 that the endpoints alone pass.
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 1_000)
+        inst = validate_instance(
+            [(0.12, 0.28), (0.33, 0.47), (0.81, 0.99)], B=1, delta=0.2
+        )
+        with pytest.raises(OracleScaleError, match="more than 1000 reports"):
+            check_minimax_dominance(spec(EQ_MED), inst, 0, grid=DeviationGrid(0.01))
+
 
 class TestVeryWeakDominanceExact:
     def test_exact_median_truthful(self):

@@ -20,6 +20,8 @@ from robustloc import (
     upper_median,
     validate_instance,
 )
+from robustloc.core import _build_spaced_grid
+from robustloc.mechanisms import _grid_representatives
 
 EQ_MED = MechanismKind.EQUISPACED_MEDIAN
 EQ_PH = MechanismKind.EQUISPACED_PHANTOM_HALF
@@ -202,3 +204,87 @@ class TestMechanismProperties:
             out = run_mechanism(spec(EQ_PH), inst)
             lo, hi = min(out.representatives), max(out.representatives)
             assert out.p == upper_median([lo, 0.5, hi]) or out.p == sorted([lo, 0.5, hi])[1]
+
+
+
+def array_rule_grids():
+    """(grid, B, delta, allow_wide): the zero and half grids of every
+    (B, delta) pair, plus the finer delta/3 and delta/4 attack targets."""
+    for B in (1.0, 0.9, 0.7, 2.5, 0.3):
+        for delta in (0.02, 0.05, 0.1, 0.2, 0.3):
+            yield build_grid(B, delta, "zero"), B, delta, False
+            yield build_grid(B, delta, "half"), B, delta, False
+            yield _build_spaced_grid(B, delta / 3.0, "zero"), B, delta, True
+            yield _build_spaced_grid(B, delta / 4.0, "zero"), B, delta, True
+
+
+def probe_points(grid, B):
+    """0, B, every grid point and midpoint, each also 1e-12 and 1e-10 to
+    either side, within [0, B]."""
+    pts = grid.points
+    centres = [0.0, B] + list(pts) + [(x + y) / 2.0 for x, y in zip(pts, pts[1:])]
+    offsets = (0.0, 1e-12, -1e-12, 1e-10, -1e-10)
+    return sorted({c + e for c in centres for e in offsets if 0.0 <= c + e <= B})
+
+
+def probe_intervals(grid, B, delta, rng):
+    """Intervals of width at most ``delta`` between probe points, plus
+    random ones, as left and right endpoint lists."""
+    probes = probe_points(grid, B)
+    lefts, rights = [], []
+    for i, a in enumerate(probes):
+        # Every partner within one spacing, then every fifth up to delta.
+        for j, b in enumerate(probes[i:]):
+            if b - a > delta:
+                break
+            if b - a <= grid.spacing or j % 5 == 0:
+                lefts.append(a)
+                rights.append(b)
+    w = rng.uniform(0.0, delta, 500)
+    a = rng.uniform(0.0, 1.0, 500) * (B - w)
+    return lefts + a.tolist(), rights + (a + w).tolist()
+
+
+class TestArrayRepresentativeRule:
+    """``run_mechanism``'s whole-profile rule against ``select_representative``."""
+
+    def test_matches_scalar_rule_on_probe_intervals(self, rng):
+        checked = 0
+        for grid, B, delta, allow_wide in array_rule_grids():
+            lefts, rights = probe_intervals(grid, B, delta, rng)
+            want = tuple(
+                select_representative(Interval(a, b), grid, allow_wide)
+                for a, b in zip(lefts, rights)
+            )
+            got = _grid_representatives(lefts, rights, grid, allow_wide)
+            assert got == want, (grid.anchor, grid.spacing, B, delta)
+            checked += len(want)
+        assert checked > 100_000
+
+    def test_refuses_wide_cover_naming_its_count(self):
+        grid = build_grid(1.0, 0.1, "zero")
+        lefts, rights = (0.1, 0.1, 0.3), (0.2, 0.3, 0.4)
+        with pytest.raises(GridMismatchError, match="covers 5 grid points"):
+            _grid_representatives(lefts, rights, grid, allow_wide=False)
+        assert _grid_representatives(lefts, rights, grid, allow_wide=True) == (
+            select_representative(Interval(0.1, 0.2), grid),
+            select_representative(Interval(0.1, 0.3), grid, allow_wide=True),
+            select_representative(Interval(0.3, 0.4), grid),
+        )
+
+    def test_single_point_grid(self):
+        # A spacing above B leaves one grid point; every report maps to it.
+        grid = _build_spaced_grid(1.0, 1.5, "zero")
+        assert grid.points == (0.0,)
+        got = _grid_representatives((0.0, 0.4, 1.0), (0.2, 0.9, 1.0), grid, True)
+        assert got == (0.0, 0.0, 0.0)
+
+    def test_run_mechanism_returns_floats(self, rng):
+        inst = random_instance(2001, 1.0, 0.3, rng)
+        for kind in (EQ_MED, EQ_PH):
+            out = run_mechanism(spec(kind, delta=0.3), inst)
+            assert type(out.p) is float
+            assert all(type(r) is float for r in out.representatives)
+            assert out.representatives == tuple(
+                select_representative(iv, out.grid) for iv in inst.agents
+            )
