@@ -217,10 +217,12 @@ def validate_instance(
         bad = ~(a <= b) | (a < -slack) | (b > B + slack) | (b - a > delta + slack)
     for i in np.flatnonzero(bad).tolist():
         _check_agent(i, *raw_intervals[i], B, delta, slack)
-    # Pinned with comparisons, not np.maximum/np.minimum: a left endpoint of
-    # -0.0 is not below 0 and keeps its sign.
-    a = np.where(a < 0, 0.0, a)
-    b = np.where(b > B, float(B), b)
+    # Both endpoints are pinned into [0, B], so an end inside the slack
+    # beyond the domain cannot leave a > b.  Pinned with comparisons, not
+    # np.maximum/np.minimum: an endpoint of -0.0 is not below 0 and keeps
+    # its sign.
+    a = np.where(a < 0, 0.0, np.where(a > B, float(B), a))
+    b = np.where(b < 0, 0.0, np.where(b > B, float(B), b))
     return Instance(float(B), float(delta), tuple(a.tolist()), tuple(b.tolist()))
 
 

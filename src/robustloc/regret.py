@@ -14,13 +14,20 @@ the sorted endpoint views:
 
 A brute-force oracle that enumerates discretized realizations and
 recomputes regret from first principles is included for cross-validation;
-it never sees the closed formulas.
+it never sees the closed formulas.  The realizations are the Cartesian
+product of per-agent step lattices, so the oracle never builds them as
+rows: it covers the product with blocks, gives each agent a table along its
+own broadcast axis, and combines per-agent tables (values, order
+statistics, distances to p) by broadcasting.  Sums add their terms in the
+order numpy sums one row of a realization matrix, so every realization's
+regret is the same float the row-by-row computation gives.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Mapping, Sequence
@@ -216,6 +223,130 @@ def _interval_lattice(interval: Interval, step: float) -> np.ndarray:
     return pts
 
 
+def _row_sum(terms: Sequence) -> float | np.ndarray:
+    """Add ``terms`` in the order ``np.sum(axis=1)`` adds one row of them.
+
+    Terms are floats or broadcastable tables.  Below 8 terms that order is a
+    left fold; up to 128 it is eight lanes of every eighth term, combined
+    as ((0+1)+(2+3))+((4+5)+(6+7)), then a left-folded tail; beyond 128 the
+    terms are split at the largest multiple of 8 not above half and the
+    halves are added.  numpy starts each row from 0.0, which changes only
+    the sign of a zero sum; an empty row sums to 0.0.
+    """
+    n = len(terms)
+    if n == 0:
+        return 0.0
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sum(terms[:half]) + _row_sum(terms[half:])
+    if n < 8:
+        total, tail = terms[0], terms[1:]
+    else:
+        cut = n - n % 8
+        lanes = list(terms[:8])
+        for i in range(8, cut, 8):
+            lanes = [lane + t for lane, t in zip(lanes, terms[i : i + 8])]
+        total = ((lanes[0] + lanes[1]) + (lanes[2] + lanes[3])) + (
+            (lanes[4] + lanes[5]) + (lanes[6] + lanes[7])
+        )
+        tail = terms[cut:]
+    for t in tail:
+        total = total + t
+    return total
+
+
+def _product_blocks(lattices: Sequence[np.ndarray]):
+    """Cover the product of ``lattices`` with blocks of at most ``_CHUNK_ROWS``.
+
+    Each block is one list with an entry per agent: a float for an agent
+    whose value is fixed across the block, otherwise the agent's lattice
+    (or a slice of it) shaped along its own broadcast axis.  Agents with a
+    one-point lattice are always floats and get no axis, so the axes never
+    outnumber numpy's dimension limit, however many exact reports there
+    are.  The trailing varying agents whose lattice product fits are taken
+    whole, the next one is sliced, and the leading ones are fixed per block.
+    """
+    varying = [i for i, lat in enumerate(lattices) if len(lat) > 1]
+    cut, rows = len(varying), 1
+    while cut and rows * len(lattices[varying[cut - 1]]) <= _CHUNK_ROWS:
+        cut -= 1
+        rows *= len(lattices[varying[cut]])
+    whole = varying[cut:]
+    values: list = [float(lat[0]) for lat in lattices]
+    ndim = len(whole) + (cut > 0)
+    for axis, i in enumerate(whole, start=ndim - len(whole)):
+        values[i] = lattices[i].reshape([-1 if d == axis else 1 for d in range(ndim)])
+    if cut == 0:
+        yield values
+        return
+    sliced, fixed = varying[cut - 1], varying[: cut - 1]
+    lat, piece = lattices[sliced], _CHUNK_ROWS // rows
+    for point in itertools.product(*(lattices[i].tolist() for i in fixed)):
+        for i, v in zip(fixed, point):
+            values[i] = v
+        for lo in range(0, len(lat), piece):
+            block = list(values)
+            block[sliced] = lat[lo : lo + piece].reshape([-1] + [1] * len(whole))
+            yield block
+
+
+def _order_statistics(values: Sequence) -> list:
+    """The sorted realization, entry by entry, for a block of ``values``.
+
+    The floats are sorted first.  Each table is then inserted by min/max
+    (entry i of the longer list is max(o[i-1], min(o[i], x))), which only
+    selects values and so is exact.  Entries whose bounds lie wholly below
+    or above the table's range keep their value and are not recomputed.
+    """
+    order = sorted(v for v in values if not isinstance(v, np.ndarray))
+    lo, hi = list(order), list(order)
+    for x in (v for v in values if isinstance(v, np.ndarray)):
+        xl, xh = float(x.min()), float(x.max())
+        first = bisect_right(hi, xl)  # entries never above x keep their place
+        last = max(first, bisect_left(lo, xh) + 1)  # entries never below x move up
+        merged = order[:first]
+        for i in range(first, last):
+            below = np.minimum(order[i], x) if i < len(order) else x
+            merged.append(np.maximum(order[i - 1], below) if i else below)
+        order = merged + order[last - 1 :]
+        insort(lo, xl)
+        insort(hi, xh)
+    return order
+
+
+def _block_gaps(values: Sequence, ps: Sequence[float], objective: Objective):
+    """For each p, the largest cost(p) - opt over the realizations of a block.
+
+    Every term is a per-agent table combined by broadcasting.  Average-cost
+    sums add their terms in the order ``np.sum(axis=1)`` adds one row of a
+    realization matrix (:func:`_row_sum`), so every realization's cost - opt
+    is the float a row of that matrix gives: the sign of a zero opt, the one
+    thing the row's leading 0.0 could change, never reaches cost - opt, as
+    cost is never -0.0.  Maxima and minima are exact in any order.
+    """
+    if objective is Objective.AVG_COST:
+        order = _order_statistics(values)
+        m = len(values) // 2
+        # min_q sum |v - q| = (sum of upper half) - (sum of lower half)
+        opt = _row_sum(order[len(order) - m :]) - _row_sum(order[:m])
+        costs = (_row_sum([abs(v - p) for v in values]) for p in ps)
+    else:
+        hi, lo = _extreme(np.maximum, max, values), _extreme(np.minimum, min, values)
+        opt = (hi - lo) / 2.0
+        costs = (_extreme(np.maximum, max, [abs(v - p) for v in values]) for p in ps)
+    return [float(np.max(cost - opt)) for cost in costs]
+
+
+def _extreme(pick: np.ufunc, builtin: Callable, values: Sequence):
+    """Elementwise ``pick`` of ``values``: floats by ``builtin``, then each table."""
+    tables = [v for v in values if isinstance(v, np.ndarray)]
+    floats = [v for v in values if not isinstance(v, np.ndarray)]
+    acc = builtin(floats) if floats else tables.pop()
+    for t in tables:
+        acc = pick(acc, t)
+    return acc
+
+
 def brute_force_max_regret_batch(
     instance: Instance,
     ps: Sequence[float],
@@ -224,10 +355,14 @@ def brute_force_max_regret_batch(
 ) -> list[float]:
     """Enumerate discretized realizations once and evaluate several p.
 
-    The product lattice is walked in fixed mixed-radix order, so results
-    are deterministic; realizations are processed in chunks to bound
-    memory.  Raises :class:`OracleScaleError` when the enumeration would
-    exceed ``ORACLE_CAP`` vectors (read at call time).
+    The realizations form the Cartesian product of the agents' step
+    lattices, so no realization matrix is built: the product is covered by
+    blocks of at most ``_CHUNK_ROWS`` vectors, each agent a table along its
+    own broadcast axis, and every term of the regret is a per-agent table.
+    The per-realization arithmetic is that of a row of the matrix (see
+    :func:`_block_gaps`), so the results do not depend on the blocking.
+    Raises :class:`OracleScaleError` when the enumeration would exceed
+    ``ORACLE_CAP`` vectors (read at call time).
     """
     sizes = [_lattice_size(iv, step) for iv in instance.agents]
     total = math.prod(sizes)
@@ -236,33 +371,14 @@ def brute_force_max_regret_batch(
             f"oracle scale exceeded: {total} realization vectors > cap {ORACLE_CAP}"
         )
     lattices = [_interval_lattice(iv, step) for iv in instance.agents]
-    n = instance.n
-    m = n // 2
-    p_arr = np.asarray(ps, dtype=float)
-    best = np.full(len(p_arr), -math.inf)
-
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-
-    for start in range(0, total, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, total)
-        idx = np.arange(start, stop)
-        mat = np.empty((stop - start, n))
-        for col in range(n):
-            mat[:, col] = lattices[col][(idx // strides[col]) % sizes[col]]
-        srt = np.sort(mat, axis=1)
-        if objective is Objective.AVG_COST:
-            # min_q sum |v - q| = (sum of upper half) - (sum of lower half)
-            opt = srt[:, n - m :].sum(axis=1) - srt[:, :m].sum(axis=1)
-            for pi, p in enumerate(p_arr):
-                cost = np.abs(mat - p).sum(axis=1)
-                best[pi] = max(best[pi], float((cost - opt).max()) / n)
-        else:
-            opt = (srt[:, -1] - srt[:, 0]) / 2.0
-            for pi, p in enumerate(p_arr):
-                cost = np.abs(mat - p).max(axis=1)
-                best[pi] = max(best[pi], float((cost - opt).max()))
+    ps = [float(p) for p in ps]
+    best = [-math.inf] * len(ps)
+    for block in _product_blocks(lattices):
+        best = [max(b, g) for b, g in zip(best, _block_gaps(block, ps, objective))]
+    if objective is Objective.AVG_COST:
+        # Division is monotone: the quotient of the maximum is the maximum
+        # of the quotients.
+        best = [b / instance.n for b in best]
     return [max(0.0, v) for v in best]
 
 

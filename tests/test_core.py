@@ -114,6 +114,16 @@ class TestValidateInstance:
         assert inst.lefts == (0.0, 0.9) and inst.rights == (0.1, 1.0)
         assert all(type(x) is float for x in inst.lefts + inst.rights)
 
+    @pytest.mark.parametrize("end", [-5e-13, 1.0 + 5e-13])
+    def test_report_inside_the_slack_stays_an_interval(self, end):
+        # Both endpoints of a report just beyond the domain are pinned onto
+        # its edge, not only the one that would leave [0, B] on its side.
+        inst = validate_instance([(end, end), (0.5, 0.6)], B=1.0, delta=0.2)
+        edge = min(max(end, 0.0), 1.0)
+        assert inst.agents[0] == Interval(edge, edge)
+        se = sorted_endpoints(inst)
+        assert all(l <= r for l, r in zip(se.L, se.R))
+
     def test_agents_are_the_endpoint_tuples_zipped(self, rng):
         lefts = rng.uniform(0, 0.7, 50)
         raw = [(float(a), float(a + w)) for a, w in zip(lefts, rng.uniform(0, 0.3, 50))]
