@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -386,20 +386,10 @@ def _cmd_audit(args) -> int:
             target, instance, agent, grid=grid, tolerance=args.tolerance
         )
         any_violation = any_violation or rep.violated
-        reports.append(
-            {
-                "agent": rep.agent,
-                "truthful_regret": rep.truthful_regret,
-                "best_deviation": (
-                    [rep.best_deviation.a, rep.best_deviation.b]
-                    if rep.best_deviation
-                    else None
-                ),
-                "best_deviation_regret": rep.best_deviation_regret,
-                "gain": rep.gain,
-                "violated": rep.violated,
-            }
-        )
+        entry = asdict(rep)
+        dev = rep.best_deviation
+        entry["best_deviation"] = [dev.a, dev.b] if dev is not None else None
+        reports.append(entry)
     _emit({"mechanism": target.name, "reports": reports}, args.out)
     if any_violation and args.strict:
         return EXIT_VIOLATION

@@ -118,9 +118,8 @@ class Instance:
         # -0.0) in agent order, and cumsum adds left to right.
         L = np.sort(np.array(self.lefts), kind="stable")
         R = np.sort(np.array(self.rights), kind="stable")
-        k = self.n // 2
         return SortedEndpoints(
-            tuple(L.tolist()), tuple(R.tolist()), k, float((L[k] + R[k]) / 2.0),
+            tuple(L.tolist()), tuple(R.tolist()), self.n // 2,
             _prefix_sums(L), _prefix_sums(R),
         )
 
@@ -135,16 +134,15 @@ class SortedEndpoints:
     """Independently sorted endpoint views of an instance.
 
     ``L`` and ``R`` are the nondecreasing left and right endpoints (position
-    i of L and R need not come from the same agent), ``k = floor(n / 2)``
-    and ``M`` is the midpoint of the (k+1)-th smallest endpoints, the pivot
-    of the upper-median convention.  ``sum_L[i]`` and ``sum_R[i]`` are the
-    running sums of the first i entries of L and R, added left to right.
+    i of L and R need not come from the same agent) and ``k = floor(n / 2)``
+    indexes the (k+1)-th smallest endpoints, the pivot of the upper-median
+    convention.  ``sum_L[i]`` and ``sum_R[i]`` are the running sums of the
+    first i entries of L and R, added left to right.
     """
 
     L: tuple[float, ...]
     R: tuple[float, ...]
     k: int
-    M: float
     sum_L: tuple[float, ...]
     sum_R: tuple[float, ...]
 
@@ -289,22 +287,21 @@ def build_grid(B: float, delta: float, anchor: str = "zero") -> Grid:
 
 
 def _build_spaced_grid(B: float, spacing: float, anchor: str) -> Grid:
-    # Counted before any point is built.  Imported here because regret
-    # imports this module.
+    # Imported here because regret imports this module.
     from .regret import _lattice_steps
 
-    _lattice_steps(B, spacing)
-    # Tolerant floor: B is often an exact multiple of the spacing in decimal
-    # but not in binary, so allow a 1e-9 relative overshoot and pin the last
-    # point back onto B when it lands above only through rounding.
+    # Counted before any point is built; the whole-domain count is the size
+    # check for both anchors.  The counts are tolerant floors: B is often an
+    # exact multiple of the spacing in decimal but not in binary, so they
+    # allow a 1e-9 relative overshoot, and the last point is pinned back
+    # onto B when it lands above only through rounding.
+    m_max = _lattice_steps(B, spacing)
     slack = spacing * _TIE_BAND
     if anchor == "zero":
-        m_max = int(math.floor(B / spacing + _TIE_BAND))
         pts = [m * spacing for m in range(m_max + 1)]
     else:
         mid = B / 2.0
-        m_lo = int(math.floor(mid / spacing + _TIE_BAND))
-        m_hi = int(math.floor((B - mid) / spacing + _TIE_BAND))
+        m_lo, m_hi = _lattice_steps(mid, spacing), _lattice_steps(B - mid, spacing)
         pts = [mid + m * spacing for m in range(-m_lo, m_hi + 1)]
     if pts[0] < 0:
         if pts[0] < -slack:

@@ -1,10 +1,10 @@
 """Empirical auditing of dominance properties plus adversarial generators.
 
-The audit is a falsifier, not a verifier: for one agent it searches every
-deviation interval with endpoints on a finite grid (degenerate reports
-included) and compares the agent's worst-case regret under each deviation
-with the truthful one.  A clean report certifies no violation on the tested
-grid, not dominance over the continuum.
+For one agent the audit searches every deviation interval with endpoints
+on a finite grid (degenerate reports included) and compares the agent's
+worst-case regret under each deviation with the truthful one.  Exact
+reports are very weakly dominant for every mechanism spec, so that regret
+depends only on the outcomes of the agent's two exact endpoint reports.
 
 A deviation moves the outcome only through its representative, so the
 regret is computed once per representative.  On a grid kind every
@@ -13,6 +13,15 @@ its location; each of these is reached by its own exact report, so the
 least regret over them is the least over all deviations, and the
 lexicographic scan stops at the first deviation that reaches it.  The
 report equals that of a full scan.
+
+The same argument covers the continuum: every report of width at most
+delta, on the deviation grid or off it, has one of those representatives.
+So on a grid kind or the constant, ``best_deviation_regret`` and
+``violated`` hold over the whole continuum of reports for that profile;
+only ``best_deviation``, the lexicographically first minimizer, depends on
+the deviation grid.  The exact kinds, whose reports represent themselves,
+are checked on the grid only: there a clean report certifies no violation
+on the tested grid, not dominance over the continuum.
 
 The agent's worst-case regret minimizes over her own alternative behaviour,
 including randomized behaviour; since her cost is linear in the mixing
@@ -182,8 +191,8 @@ def _in_width_intervals(
 
 def _audit_setup(
     target: MechanismSpec, instance: Instance, agent: int, grid: DeviationGrid | None
-) -> tuple[DeviationGrid, _OutcomeOracle, Interval, tuple[float, ...]]:
-    """Deviation grid, outcome oracle, own report and candidate endpoints."""
+) -> tuple[_OutcomeOracle, Interval, tuple[float, ...]]:
+    """Outcome oracle, own report and candidate endpoints."""
     if not 0 <= agent < instance.n:
         raise ValueError(f"agent index {agent} out of range")
     if grid is None:
@@ -196,7 +205,7 @@ def _audit_setup(
         raise ValueError(
             "deviation grid does not contain the agent's own endpoints"
         )
-    return grid, oracle, own, endpoints
+    return oracle, own, endpoints
 
 
 def _first_minimum(
@@ -255,7 +264,6 @@ def check_minimax_dominance(
     agent: int,
     grid: DeviationGrid | None = None,
     tolerance: float = 1e-9,
-    endpoint_shortcut: bool = True,
 ) -> DominanceReport:
     """Search for a report that beats truth-telling in worst-case regret.
 
@@ -266,25 +274,14 @@ def check_minimax_dominance(
     the scan stops at the first deviation reaching the least regret over
     the reachable representatives; the report equals that of a full scan.
     Exact reports are very weakly dominant for every mechanism spec, so the
-    endpoint shortcut for the agent's worst-case regret is valid; pass
-    ``endpoint_shortcut=False`` to force the sampled-location fallback.
+    agent's worst-case regret depends only on the outcomes of the agent's
+    two exact endpoint reports.
     """
-    grid, oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
-    responses: dict[float, float] = {}
-    if endpoint_shortcut:
-        responses[own.a] = oracle.outcome(Interval(own.a, own.a))
-        responses[own.b] = oracle.outcome(Interval(own.b, own.b))
-        sample_step = None
-    else:
-        for e in endpoints:
-            responses[e] = oracle.outcome(Interval(e, e))
-        sample_step = grid.endpoint_pitch
+    oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
+    responses = {e: oracle.outcome(Interval(e, e)) for e in (own.a, own.b)}
 
     def regret_at(outcome: float) -> float:
-        return agent_max_regret(
-            outcome, responses, own,
-            endpoint_shortcut=endpoint_shortcut, sample_step=sample_step,
-        )
+        return agent_max_regret(outcome, responses, own)
 
     deviations = _enumerate_deviations(endpoints, instance.delta, target.exact_only)
     return _first_minimum(agent, own, deviations, oracle, regret_at, tolerance)
@@ -305,7 +302,7 @@ def check_very_weak_dominance_exact(
     mechanisms is already reached by one.
     """
     instance = validate_instance([(p, p) for p in points], B=target.B, delta=target.delta)
-    _, oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
+    oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
     loc = own.a
     return _first_minimum(
         agent,

@@ -280,15 +280,17 @@ def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     """Apply a mechanism to a profile of reports: check, represent, aggregate.
 
     On a grid the whole profile is snapped at once, from the instance's
-    endpoint tuples, by the array form of ``select_representative``;
-    without one each report goes through the spec's own rule.  The chosen
-    point and the representatives are floats.  Exact kinds and the
-    constant report no representatives and no grid.
+    endpoint tuples, by the array form of ``select_representative``.
+    Without one the left endpoints stand in: ``check`` has made every
+    report exact for the exact rule, and the constant ignores its reports,
+    so no ``Interval`` is built.  The chosen point and the representatives
+    are floats.  Exact kinds and the constant report no representatives
+    and no grid.
     """
     spec.check(instance)
-    grid, represent, aggregate = spec.resolve()
+    grid, _, aggregate = spec.resolve()
     if grid is None:
-        reps = tuple(map(represent, instance.agents))
+        reps = instance.lefts
     else:
         allow_wide = spec.spacing is not None
         reps = _grid_representatives(instance.lefts, instance.rights, grid, allow_wide)

@@ -144,12 +144,12 @@ class TestSortedEndpoints:
         inst = validate_instance([(0, 1), (3, 4)], B=4, delta=1)
         se = sorted_endpoints(inst)
         assert se.L == (0, 3) and se.R == (1, 4)
-        assert se.k == 1 and se.M == 3.5
+        assert se.k == 1 and (se.L[se.k], se.R[se.k]) == (3, 4)
 
     def test_single_agent(self):
         se = sorted_endpoints(validate_instance([(0.2, 0.3)], B=1, delta=0.1))
         assert se.L == (0.2,) and se.R == (0.3,)
-        assert se.k == 0 and se.M == 0.25
+        assert se.k == 0 and (se.L[se.k], se.R[se.k]) == (0.2, 0.3)
 
     def test_three_agents_sorted_independently(self):
         inst = validate_instance(
@@ -158,7 +158,7 @@ class TestSortedEndpoints:
         se = sorted_endpoints(inst)
         assert se.L == (0.0, 0.4, 0.9)
         assert se.R == (0.1, 0.5, 1.0)
-        assert se.k == 1 and se.M == 0.45
+        assert se.k == 1 and (se.L[se.k], se.R[se.k]) == (0.4, 0.5)
 
     @given(
         st.lists(

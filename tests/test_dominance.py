@@ -150,8 +150,8 @@ class TestMinimaxDominanceAudit:
         grid = DeviationGrid(0.02)
         for agent in range(inst.n):
             fast = check_minimax_dominance(spec(EQ_MED), inst, agent, grid=grid)
-            slow = check_minimax_dominance(
-                spec(EQ_MED), inst, agent, grid=grid, endpoint_shortcut=False
+            slow = full_minimax_scan(
+                spec(EQ_MED), inst, agent, grid, endpoint_shortcut=False
             )
             assert fast.violated == slow.violated
             assert fast.truthful_regret == pytest.approx(
@@ -240,11 +240,12 @@ class TestAuditByRepresentative:
                     fast = check_minimax_dominance(s, inst, agent, grid=grid)
                     assert fast == full_minimax_scan(s, inst, agent, grid), (i, kind)
                     if inst.n <= 3:
-                        slow = check_minimax_dominance(
-                            s, inst, agent, grid=grid, endpoint_shortcut=False
-                        )
-                        assert slow == full_minimax_scan(
+                        slow = full_minimax_scan(
                             s, inst, agent, grid, endpoint_shortcut=False
+                        )
+                        assert fast.violated == slow.violated, (i, kind)
+                        assert fast.truthful_regret == pytest.approx(
+                            slow.truthful_regret, abs=1e-12
                         ), (i, kind)
 
     def test_fine_grid_attack_matches_full_scan(self):
@@ -343,6 +344,41 @@ class TestAuditByRepresentative:
         for agent in range(n):
             rep = check_minimax_dominance(spec(kind), inst, agent, grid=grid)
             assert not rep.violated and rep.gain <= 1e-9, (agent, rep)
+
+
+class TestContinuumClaim:
+    """On a grid kind or the constant, ``best_deviation_regret`` is the least
+    worst-case regret over every report of width at most delta, on the
+    deviation grid or off it."""
+
+    def test_off_grid_reports_never_beat_the_best_deviation(self):
+        gen = np.random.default_rng(20190509)
+        for trial in range(15):
+            n = int(gen.integers(1, 6))
+            delta = (0.1, 0.2, 0.3)[trial % 3]
+            inst = random_instance(n, 1.0, delta, gen)
+            targets = (
+                spec(EQ_MED, delta=delta),
+                spec(EQ_PH, delta=delta),
+                GridAttackTarget(B=1.0, delta=delta, spacing=delta / 4),
+                spec(MechanismKind.CONSTANT, delta=delta, location=0.3),
+            )
+            for s in targets:
+                for agent in range(n):
+                    rep = check_minimax_dominance(s, inst, agent)
+                    own = inst.agents[agent]
+
+                    def outcome(report):
+                        return run_mechanism(s, inst.replace_agent(agent, report)).p
+
+                    responses = {e: outcome(Interval(e, e)) for e in (own.a, own.b)}
+                    w = delta * gen.random(60)
+                    lefts = (1.0 - w) * gen.random(60)
+                    for a, b in zip(lefts.tolist(), (lefts + w).tolist()):
+                        regret = agent_max_regret(
+                            outcome(Interval(a, b)), responses, own
+                        )
+                        assert regret >= rep.best_deviation_regret, (s, agent, a, b)
 
 
 class TestDeviationGrid:

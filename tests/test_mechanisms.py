@@ -101,6 +101,23 @@ class TestRunMechanism:
         out = run_mechanism(spec(MechanismKind.EXACT_PHANTOM_HALF, delta=0), inst)
         assert out.p == pytest.approx(0.2)
 
+    @pytest.mark.parametrize("s", [
+        spec(MechanismKind.CONSTANT, delta=0, location=0.5),
+        spec(MechanismKind.EXACT_MEDIAN, delta=0),
+        spec(MechanismKind.EXACT_PHANTOM_HALF, delta=0),
+        spec(EQ_MED, delta=0),
+        spec(EQ_PH, delta=0),
+    ], ids=lambda s: s.name)
+    def test_no_grid_builds_no_intervals(self, s):
+        # Without a grid the left endpoints are the representatives, so the
+        # per-agent Interval objects are never built.
+        inst = validate_instance([(0.2, 0.2), (0.9, 0.9), (0.5, 0.5)], B=1, delta=0)
+        out = run_mechanism(s, inst)
+        assert "agents" not in inst.__dict__
+        assert out.p == 0.5
+        equispaced = s.kind in (EQ_MED, EQ_PH)
+        assert out.representatives == ((0.2, 0.9, 0.5) if equispaced else ())
+
     def test_exact_kinds_reject_intervals(self):
         inst = validate_instance([(0.1, 0.2)], B=1, delta=0.2)
         with pytest.raises(MechanismError, match="agent 0"):
