@@ -66,14 +66,24 @@ EXIT_ORACLE_SCALE = 4
 _BOUND_TOL = 1e-9
 
 
+def _number(value, name: str, kinds: tuple = (int, float)):
+    """``value`` if it is a JSON number of one of ``kinds``; a bool is none."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        what = "an integer" if kinds == (int,) else "a number"
+        raise TypeError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def load_instance(path: str | Path) -> Instance:
-    """Read and validate an instance JSON file."""
+    """Read and validate an instance JSON file; bools and strings are rejected."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     try:
-        raw = [(entry["a"], entry["b"]) for entry in data["agents"]]
-        return validate_instance(raw, B=data["B"], delta=data["delta"])
-    except (KeyError, TypeError) as exc:
+        raw = [(_number(e["a"], f"agent {i}: a"), _number(e["b"], f"agent {i}: b"))
+               for i, e in enumerate(data["agents"])]
+        B, delta = _number(data["B"], "B"), _number(data["delta"], "delta")
+        return validate_instance(raw, B=B, delta=delta)
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidInstanceError(f"malformed instance file {path}: {exc}") from exc
 
 
@@ -142,6 +152,8 @@ class ExperimentConfig:
                 f"oracle_step must be positive and finite, got {self.oracle_step}"
             )
         for n in self.n_values:
+            if n < 1:
+                raise InvalidInstanceError(f"every n must be >= 1, got {n}")
             _check_report_count(n, lambda: n, f"an instance of {n} agents")
         # A bad descriptor fails here, before any trial runs.
         for descriptor in self.mechanisms:
@@ -152,15 +164,17 @@ class ExperimentConfig:
     def from_json(cls, data: dict) -> "ExperimentConfig":
         try:
             return cls(
-                seed=int(data["seed"]),
-                trials=int(data["trials"]),
-                n_values=tuple(int(v) for v in data["n_values"]),
-                B=float(data["B"]),
-                delta_values=tuple(float(v) for v in data["delta_values"]),
+                seed=_number(data["seed"], "seed", (int,)),
+                trials=_number(data["trials"], "trials", (int,)),
+                n_values=tuple(_number(v, "n", (int,)) for v in data["n_values"]),
+                B=float(_number(data["B"], "B")),
+                delta_values=tuple(
+                    float(_number(v, "delta")) for v in data["delta_values"]
+                ),
                 objective=Objective(data["objective"]),
                 mechanisms=tuple(data["mechanisms"]),
                 oracle_step=(
-                    float(data["oracle_step"])
+                    float(_number(data["oracle_step"], "oracle_step"))
                     if data.get("oracle_step") is not None
                     else None
                 ),
@@ -215,7 +229,7 @@ def _mechanism_spec(
     location = descriptor.get("location")
     if kind is MechanismKind.CONSTANT and location is None:
         location = B / 2.0
-    if not isinstance(location, (int, float, type(None))):
+    if isinstance(location, bool) or not isinstance(location, (int, float, type(None))):
         raise InvalidInstanceError(f"location must be a number, got {location!r}")
     return MechanismSpec(
         kind=kind, B=B, delta=delta, location=location, spacing=spacing

@@ -4,7 +4,8 @@ For one agent the audit searches every deviation interval with endpoints
 on a finite grid (degenerate reports included) and compares the agent's
 worst-case regret under each deviation with the truthful one.  Exact
 reports are very weakly dominant for every mechanism spec, so that regret
-depends only on the outcomes of the agent's two exact endpoint reports.
+depends only on the outcomes of the agent's two exact endpoint reports,
+computed once per audit and read by ``agent_max_regret``.
 
 A deviation moves the outcome only through its representative, so the
 regret is computed once per representative.  On a grid kind every
@@ -278,10 +279,11 @@ def check_minimax_dominance(
     two exact endpoint reports.
     """
     oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
-    responses = {e: oracle.outcome(Interval(e, e)) for e in (own.a, own.b)}
+    at_a = oracle.outcome(Interval(own.a, own.a))
+    at_b = oracle.outcome(Interval(own.b, own.b))
 
     def regret_at(outcome: float) -> float:
-        return agent_max_regret(outcome, responses, own)
+        return agent_max_regret(outcome, own, at_a, at_b)
 
     deviations = _enumerate_deviations(endpoints, instance.delta, target.exact_only)
     return _first_minimum(agent, own, deviations, oracle, regret_at, tolerance)

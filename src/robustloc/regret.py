@@ -30,7 +30,7 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -393,39 +393,18 @@ def brute_force_max_regret(
 
 
 def agent_max_regret(
-    outcome: float,
-    best_responses: Mapping[float, float],
-    interval: Interval,
-    endpoint_shortcut: bool = True,
-    sample_step: float | None = None,
+    outcome: float, interval: Interval, at_a: float, at_b: float
 ) -> float:
     """Worst-case regret of one agent for an outcome, given her interval.
 
-    With the endpoint shortcut (valid whenever exact reports are very
-    weakly dominant in the mechanism), only the interval endpoints matter:
-    ``best_responses`` must map each endpoint to the outcome the mechanism
-    yields when the agent reports it exactly.  Without it, true locations
-    are sampled at ``sample_step`` inside the interval and the inner best
-    response is taken over every outcome in ``best_responses``.
+    ``at_a`` and ``at_b`` are the outcomes of the agent's exact reports of
+    ``interval.a`` and ``interval.b``.  Exact reports are very weakly
+    dominant for every mechanism spec, so the worst case over her true
+    locations in the interval lies at one of its endpoints, where the
+    exact report of that endpoint is her best response.
     """
-    if endpoint_shortcut:
-        try:
-            p_a = best_responses[interval.a]
-            p_b = best_responses[interval.b]
-        except KeyError as exc:
-            raise ValueError(
-                f"missing endpoint response for report at {exc.args[0]}"
-            ) from exc
-        return max(
-            0.0,
-            abs(interval.a - outcome) - abs(interval.a - p_a),
-            abs(interval.b - outcome) - abs(interval.b - p_b),
-        )
-    if sample_step is None or sample_step <= 0:
-        raise ValueError("grid fallback requires a positive sample_step")
-    if not best_responses:
-        raise ValueError("grid fallback requires a non-empty response map")
-    outs = np.fromiter(best_responses.values(), dtype=float)
-    locs = _interval_lattice(interval, sample_step)
-    inner = np.abs(locs[:, None] - outs[None, :]).min(axis=1)
-    return max(0.0, float((np.abs(locs - outcome) - inner).max()))
+    return max(
+        0.0,
+        abs(interval.a - outcome) - abs(interval.a - at_a),
+        abs(interval.b - outcome) - abs(interval.b - at_b),
+    )

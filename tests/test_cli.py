@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import robustloc.regret as regret_module
-from robustloc import random_instance, validate_instance
+from robustloc import InvalidInstanceError, random_instance, validate_instance
 from robustloc.cli import (
     EXIT_OK,
     EXIT_ORACLE_SCALE,
@@ -190,6 +190,11 @@ class TestRunExperiment:
         with pytest.raises(Exception):
             self.config(trials=0)
 
+    @pytest.mark.parametrize("n_values", [(0,), (3, -1)])
+    def test_n_below_one_rejected_before_any_trial(self, n_values):
+        with pytest.raises(InvalidInstanceError, match="every n must be >= 1"):
+            self.config(n_values=n_values)
+
     def test_csv_determinism(self):
         a = rows_to_csv(run_experiment(self.config()))
         b = rows_to_csv(run_experiment(self.config()))
@@ -323,8 +328,33 @@ class TestCommandLine:
         {"mechanisms": [{"location": 0.5}]},
         {"n_values": [math.inf]},
         {"delta_values": [math.nan]},
+        {"seed": 1.9, "trials": 1.5, "n_values": [3.7], "B": "1",
+         "delta_values": ["0.2"]},
+        {"seed": 1.9},
+        {"seed": True},
+        {"seed": "3"},
+        {"trials": 1.5},
+        {"trials": True},
+        {"n_values": [3.7]},
+        {"n_values": [3.0]},
+        {"n_values": [True]},
+        {"n_values": ["3"]},
+        {"n_values": [0]},
+        {"n_values": [3, -1]},
+        {"B": "1"},
+        {"B": True},
+        {"delta_values": ["0.2"]},
+        {"delta_values": [False]},
+        {"oracle_step": "0.01"},
+        {"oracle_step": True},
+        {"mechanisms": [{"kind": "constant", "location": True}]},
     ], ids=["B-inf", "B-nan", "oracle-step-inf", "bare-string-mechanism",
-            "string-location", "no-kind", "n-inf", "delta-nan"])
+            "string-location", "no-kind", "n-inf", "delta-nan",
+            "all-truncated-or-parsed", "float-seed", "bool-seed", "string-seed",
+            "float-trials", "bool-trials", "float-n", "integral-float-n",
+            "bool-n", "string-n", "zero-n", "negative-n", "string-B", "bool-B",
+            "string-delta", "bool-delta", "string-oracle-step",
+            "bool-oracle-step", "bool-location"])
     def test_bad_experiment_config_rejected(self, override, tmp_path, capsys):
         data = {
             "seed": 3, "trials": 1, "n_values": [3], "B": 1.0,
@@ -337,8 +367,8 @@ class TestCommandLine:
         code = main(["experiment", "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")])
         assert code == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command,data", [
@@ -353,12 +383,22 @@ class TestCommandLine:
          {"B": 1.0, "delta": 5e-324, "agents": [{"a": 0.5, "b": 0.5}]}),
         (["audit", "--kind", "equispaced-median"],
          {"B": 1.0, "delta": 5e-324, "agents": [{"a": 0.5, "b": 0.5}]}),
+        # JSON booleans are not numbers, and an integer beyond float range
+        # is not converted.
+        (["solve", "--objective", "avg"],
+         {"B": True, "delta": 0.2, "agents": [{"a": 0.1, "b": 0.2}]}),
+        (["mechanism", "--kind", "equispaced-median"],
+         {"B": 1.0, "delta": True, "agents": [{"a": 0.1, "b": 0.2}]}),
+        (["audit", "--kind", "equispaced-median"],
+         {"B": 1.0, "delta": False, "agents": [{"a": 0.1, "b": 0.1}]}),
+        (["mechanism", "--kind", "equispaced-median"],
+         {"B": 10**400, "delta": 0.2, "agents": [{"a": 0.1, "b": 0.2}]}),
     ])
     def test_non_finite_instance_rejected(self, command, data, tmp_path, capsys):
         path = write_instance(tmp_path / "nonfinite.json", data)
         assert main([*command, "--instance", path]) == EXIT_VALIDATION
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
 
     @pytest.mark.parametrize("argv", [
         ["gen", "--n", "11", "--B", "1", "--delta", "0.2", "--seed", "1"],
@@ -525,8 +565,11 @@ class TestCommandLine:
         ([{"a": -1e308, "b": 1e308}], "agent 0: left endpoint -1e+308 below 0"),
         ([{"a": 0.1, "b": 0.2}, {"a": 0.5, "b": 0.4}, {"a": math.nan, "b": 0.1}],
          "agent 1: left endpoint 0.5 exceeds right endpoint 0.4"),
+        ([{"a": False, "b": 0.1}], "agent 0: a must be a number, got False"),
+        ([{"a": 0.1, "b": 0.2}, {"a": 0.0, "b": True}],
+         "agent 1: b must be a number, got True"),
     ], ids=["none", "strings", "three-element", "inf-inf", "overflowing-width",
-            "first-bad-agent"])
+            "first-bad-agent", "bool-a", "bool-b"])
     def test_bad_entries_print_one_error_line(self, agents, message, tmp_path, capsys):
         path = write_instance(
             tmp_path / "bad.json", {"B": 1.0, "delta": 0.2, "agents": agents}

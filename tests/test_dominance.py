@@ -58,18 +58,36 @@ def full_scan(target, instance, agent, grid, tolerance, cost_factory, exact_only
     return DominanceReport(agent, truthful, best, best_cost, gain, gain > tolerance)
 
 
-def full_minimax_scan(target, instance, agent, grid, endpoint_shortcut=True):
-    def factory(oracle, own, endpoints):
-        exact = endpoints if not endpoint_shortcut else (own.a, own.b)
-        responses = {e: oracle.outcome(Interval(e, e)) for e in exact}
-        step = None if endpoint_shortcut else grid.endpoint_pitch
+def sampled_agent_max_regret(outcome, responses, interval, step):
+    """Reference for ``agent_max_regret`` that does not assume exact reports
+    are dominant: true locations are sampled every ``step`` in the interval,
+    and each one's best response is the closest of the ``responses``, the
+    outcomes of every exact report the agent could make."""
+    outs = np.fromiter(responses, dtype=float)
+    locs = regret_module._interval_lattice(interval, step)
+    inner = np.abs(locs[:, None] - outs[None, :]).min(axis=1)
+    return max(0.0, float((np.abs(locs - outcome) - inner).max()))
 
-        def cost(report):
-            return agent_max_regret(
-                oracle.outcome(report), responses, own,
-                endpoint_shortcut=endpoint_shortcut, sample_step=step,
-            )
-        return cost
+
+def full_minimax_scan(target, instance, agent, grid, sampled=False):
+    """``full_scan`` under worst-case regret: by the endpoint rule, or with
+    ``sampled`` by ``sampled_agent_max_regret`` at the deviation pitch over
+    the exact reports of every candidate endpoint."""
+    def factory(oracle, own, endpoints):
+        if sampled:
+            responses = [oracle.outcome(Interval(e, e)) for e in endpoints]
+
+            def regret(outcome):
+                return sampled_agent_max_regret(
+                    outcome, responses, own, grid.endpoint_pitch
+                )
+        else:
+            at_a = oracle.outcome(Interval(own.a, own.a))
+            at_b = oracle.outcome(Interval(own.b, own.b))
+
+            def regret(outcome):
+                return agent_max_regret(outcome, own, at_a, at_b)
+        return lambda report: regret(oracle.outcome(report))
     return full_scan(
         target, instance, agent, grid, 1e-9, factory, target.exact_only
     )
@@ -128,11 +146,9 @@ class TestMinimaxDominanceAudit:
         deviated = inst.replace_agent(1, rep.best_deviation)
         outcome = run_mechanism(s, deviated).p
         own = inst.agents[1]
-        responses = {
-            own.a: run_mechanism(s, inst.replace_agent(1, Interval(own.a, own.a))).p,
-            own.b: run_mechanism(s, inst.replace_agent(1, Interval(own.b, own.b))).p,
-        }
-        again = agent_max_regret(outcome, responses, own)
+        at_a = run_mechanism(s, inst.replace_agent(1, Interval(own.a, own.a))).p
+        at_b = run_mechanism(s, inst.replace_agent(1, Interval(own.b, own.b))).p
+        again = agent_max_regret(outcome, own, at_a, at_b)
         assert again == pytest.approx(rep.best_deviation_regret, abs=1e-12)
 
     def test_truthful_report_among_candidates(self):
@@ -150,9 +166,7 @@ class TestMinimaxDominanceAudit:
         grid = DeviationGrid(0.02)
         for agent in range(inst.n):
             fast = check_minimax_dominance(spec(EQ_MED), inst, agent, grid=grid)
-            slow = full_minimax_scan(
-                spec(EQ_MED), inst, agent, grid, endpoint_shortcut=False
-            )
+            slow = full_minimax_scan(spec(EQ_MED), inst, agent, grid, sampled=True)
             assert fast.violated == slow.violated
             assert fast.truthful_regret == pytest.approx(
                 slow.truthful_regret, abs=1e-12
@@ -240,9 +254,7 @@ class TestAuditByRepresentative:
                     fast = check_minimax_dominance(s, inst, agent, grid=grid)
                     assert fast == full_minimax_scan(s, inst, agent, grid), (i, kind)
                     if inst.n <= 3:
-                        slow = full_minimax_scan(
-                            s, inst, agent, grid, endpoint_shortcut=False
-                        )
+                        slow = full_minimax_scan(s, inst, agent, grid, sampled=True)
                         assert fast.violated == slow.violated, (i, kind)
                         assert fast.truthful_regret == pytest.approx(
                             slow.truthful_regret, abs=1e-12
@@ -371,12 +383,13 @@ class TestContinuumClaim:
                     def outcome(report):
                         return run_mechanism(s, inst.replace_agent(agent, report)).p
 
-                    responses = {e: outcome(Interval(e, e)) for e in (own.a, own.b)}
+                    at_a = outcome(Interval(own.a, own.a))
+                    at_b = outcome(Interval(own.b, own.b))
                     w = delta * gen.random(60)
                     lefts = (1.0 - w) * gen.random(60)
                     for a, b in zip(lefts.tolist(), (lefts + w).tolist()):
                         regret = agent_max_regret(
-                            outcome(Interval(a, b)), responses, own
+                            outcome(Interval(a, b)), own, at_a, at_b
                         )
                         assert regret >= rep.best_deviation_regret, (s, agent, a, b)
 

@@ -1,11 +1,14 @@
-"""Byte-level pins of experiment CSVs and of solve, mechanism and audit JSON.
+"""Byte-level pins of experiment CSVs and of solve, mechanism, audit and
+attack JSON.
 
 Criterion 10 only checks that two runs agree; these digests pin the bytes
 themselves.  The CSV and solve digests were recorded before the sorted
 endpoint view became a per-instance cache; the mechanism and audit digests
 (stdout plus exit code) before the equispaced kinds stopped building an
-identity grid at delta = 0.  A digest that stops matching means an output
-changed: find out why, never re-pin it to make the test pass.
+identity grid at delta = 0; the attack digests (stdout plus exit code)
+before ``agent_max_regret`` came to take the two endpoint outcomes.  A
+digest that stops matching means an output changed: find out why, never
+re-pin it to make the test pass.
 """
 
 import hashlib
@@ -140,3 +143,25 @@ def test_mechanism_and_audit_json_bytes(command, kind, delta, tmp_path, capsys):
     code = main([command, "--kind", kind, "--instance", inst])
     digest = sha256(f"{code}\n{capsys.readouterr().out}")
     assert digest == COMMAND_DIGESTS[command, kind, delta]
+
+
+# The README's four attack examples -> digest of the exit code (0) and stdout.
+ATTACK_DIGESTS = {
+    ("vwd-chain", "--delta", "0.2", "--eps", "0.05", "--eps1", "0.01"):
+        "02e1fa34a506ceeab024f1c6b192a3a31caccfc1364c062eab8e9cd65c764a2f",
+    ("finite-range", "--delta", "0.2", "--g", "0.3,0.4,0.5,0.6",
+     "--gamma", "0.002", "--n", "21", "--case", "one"):
+        "f1f579c0282d45a76b8fba35c3ab7fe3ca9c108c1c81992568835feae62b48bf",
+    ("onto", "--delta", "0.1", "--yj", "0.2", "--ell", "0.3", "--r", "0.38",
+     "--eps", "0.02", "--n", "4"):
+        "0ea600bf2b39cd98786c9b2741bbd01c1556859ba770422d5f6874b697449a66",
+    ("fine-grid", "--delta", "0.2", "--spacing", "0.05", "--n", "3"):
+        "1d0e1704203e6e4e9e74ef0f3913a5fb549bd30f6779990fb5a4a54ca7a119be",
+}
+
+
+@pytest.mark.parametrize("argv", list(ATTACK_DIGESTS), ids=lambda argv: argv[0])
+def test_attack_json_bytes(argv, capsys):
+    code = main(["attack", "--family", *argv])
+    digest = sha256(f"{code}\n{capsys.readouterr().out}")
+    assert digest == ATTACK_DIGESTS[argv]

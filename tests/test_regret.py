@@ -21,6 +21,7 @@ from robustloc import (
     regret_of,
     validate_instance,
 )
+from test_dominance import sampled_agent_max_regret
 
 AVG = Objective.AVG_COST
 MC = Objective.MAX_COST
@@ -357,33 +358,21 @@ def test_oracle_memory_is_bounded():
 class TestAgentMaxRegret:
     def test_endpoint_arithmetic(self):
         iv = Interval(0.12, 0.18)
-        got = agent_max_regret(0.1, {0.12: 0.1, 0.18: 0.2}, iv)
+        got = agent_max_regret(0.1, iv, 0.1, 0.2)
         assert got == pytest.approx(0.06)
 
     def test_zero_when_outcome_matches_responses(self):
         iv = Interval(0.12, 0.18)
-        assert agent_max_regret(0.1, {0.12: 0.1, 0.18: 0.1}, iv) == 0.0
+        assert agent_max_regret(0.1, iv, 0.1, 0.1) == 0.0
 
     def test_zero_when_reports_cannot_move_outcome(self):
         iv = Interval(0.33, 0.47)
-        assert agent_max_regret(0.4, {0.33: 0.4, 0.47: 0.4}, iv) == 0.0
-
-    def test_missing_endpoint_response(self):
-        with pytest.raises(ValueError, match="missing endpoint"):
-            agent_max_regret(0.1, {0.12: 0.1}, Interval(0.12, 0.18))
-
-    def test_fallback_needs_step_and_map(self):
-        iv = Interval(0.1, 0.2)
-        with pytest.raises(ValueError):
-            agent_max_regret(0.1, {0.1: 0.1}, iv, endpoint_shortcut=False)
+        assert agent_max_regret(0.4, iv, 0.4, 0.4) == 0.0
 
     def test_fallback_matches_shortcut_when_valid(self):
         # When exact reports are optimal per location, the sampled maximum
-        # sits at an endpoint and the two modes agree.
+        # sits at an endpoint and the rule and the sampled scan agree.
         iv = Interval(0.2, 0.4)
-        responses = {0.2: 0.2, 0.3: 0.3, 0.4: 0.4}
-        fast = agent_max_regret(0.3, {0.2: 0.2, 0.4: 0.4}, iv)
-        slow = agent_max_regret(
-            0.3, responses, iv, endpoint_shortcut=False, sample_step=0.01
-        )
+        fast = agent_max_regret(0.3, iv, 0.2, 0.4)
+        slow = sampled_agent_max_regret(0.3, [0.2, 0.3, 0.4], iv, 0.01)
         assert slow == pytest.approx(fast, abs=1e-12)
