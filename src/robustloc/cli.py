@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -64,6 +64,10 @@ EXIT_VIOLATION = 3
 EXIT_ORACLE_SCALE = 4
 
 _BOUND_TOL = 1e-9
+
+# The keys a mechanism descriptor may hold; any other key is refused rather
+# than ignored, so a typo cannot go unnoticed.
+_DESCRIPTOR_KEYS = frozenset(("kind", "location"))
 
 
 def _number(value, name: str, kinds: tuple = (int, float)):
@@ -159,9 +163,15 @@ class ExperimentConfig:
         for descriptor in self.mechanisms:
             for delta in self.delta_values:
                 _mechanism_spec(descriptor, self.B, delta)
+            _check_descriptor_keys(descriptor)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
+        known = {f.name for f in fields(cls)}
+        if isinstance(data, dict) and not known.issuperset(data):
+            raise InvalidInstanceError(
+                f"malformed experiment config: unknown keys {sorted(set(data) - known)}"
+            )
         try:
             return cls(
                 seed=_number(data["seed"], "seed", (int,)),
@@ -234,6 +244,21 @@ def _mechanism_spec(
     return MechanismSpec(
         kind=kind, B=B, delta=delta, location=location, spacing=spacing
     )
+
+
+def _check_descriptor_keys(descriptor: dict) -> None:
+    """Refuse the descriptor keys no mechanism reads: any key but ``kind``
+    and ``location``, and a ``location`` on a kind other than the constant."""
+    if not _DESCRIPTOR_KEYS.issuperset(descriptor):
+        raise InvalidInstanceError(
+            f"mechanism descriptor {descriptor!r} has unknown keys "
+            f"{sorted(set(descriptor) - _DESCRIPTOR_KEYS)}"
+        )
+    kind = MechanismKind(descriptor["kind"])
+    if descriptor.get("location") is not None and kind is not MechanismKind.CONSTANT:
+        raise InvalidInstanceError(
+            f"location applies only to the constant mechanism, not {kind.value}"
+        )
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:

@@ -6,17 +6,19 @@ validated instance model, the sorted endpoint view that every regret
 formula consumes, the equispaced grids used by the snapping mechanisms,
 and the shared upper-median convention.  An instance stores its left and
 right endpoints as two tuples of floats; validation checks them with
-numpy masks, and the per-agent ``Interval`` objects are built only when
-``agents`` is first read.  Grids exist for ``delta > 0``
-only: at ``delta = 0`` every report is a point and represents itself, so
-there is no grid to snap to.
+numpy masks and keeps the checked arrays as the instance's array form,
+which the solver and the mechanisms read.  The per-agent ``Interval``
+objects are built only when ``agents`` is first read.  Grids exist for
+``delta > 0`` only: at ``delta = 0`` every report is a point and
+represents itself, so there is no grid to snap to.
 
 All types are immutable and all operations are pure functions, so
 everything here can be used concurrently without synchronization.  The
-caches, the sorted endpoint view and the ``agents`` tuple, are built on
-first use and memoized on their frozen instance; they are immutable too,
-so sharing them is safe (two threads racing on the first read at worst
-both build equal values).
+caches, the array form, the sorted endpoint view and the ``agents``
+tuple, are built on first use and memoized on their frozen instance;
+they are immutable too (their arrays are read-only), so sharing them is
+safe (two threads racing on the first read at worst both build equal
+values).
 """
 
 from __future__ import annotations
@@ -112,24 +114,49 @@ class Instance:
         return Instance(self.B, self.delta, tuple(lefts), tuple(rights))
 
     @cached_property
+    def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``lefts`` and ``rights`` as read-only float64 arrays, built once.
+
+        Not a field, so ==, hash and repr ignore it; ``validate_instance``
+        fills it with the arrays it checked.
+        """
+        return _read_only(np.array(self.lefts)), _read_only(np.array(self.rights))
+
+    @cached_property
     def _sorted_endpoints(self) -> "SortedEndpoints":
         # The memo behind sorted_endpoints(); not a field, so ==, hash and
         # repr ignore it.  A stable sort keeps equal endpoints (0.0 and
         # -0.0) in agent order, and cumsum adds left to right.
-        L = np.sort(np.array(self.lefts), kind="stable")
-        R = np.sort(np.array(self.rights), kind="stable")
-        return SortedEndpoints(
-            tuple(L.tolist()), tuple(R.tolist()), self.n // 2,
-            _prefix_sums(L), _prefix_sums(R),
-        )
+        a, b = self.endpoint_arrays
+        L, R = _read_only(_stable_sort(a)), _read_only(_stable_sort(b))
+        return SortedEndpoints(L, R, self.n // 2, _prefix_sums(L), _prefix_sums(R))
 
 
-def _prefix_sums(values: np.ndarray) -> tuple[float, ...]:
+def _stable_sort(values: np.ndarray) -> np.ndarray:
+    """``np.sort(values, kind="stable")`` for floats without NaN, faster.
+
+    Without NaN, equal floats are equal bit for bit except 0.0 and -0.0, so
+    a stable sort differs from numpy's fastest one only in the order of its
+    run of zeros.  The run is restored in input order.
+    """
+    out = np.sort(values)
+    zeros = values[values == 0.0]
+    start = int(np.searchsorted(out, 0.0))
+    out[start : start + len(zeros)] = zeros
+    return out
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.flags.writeable = False
+    return values
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
     """Running sums of ``values`` from 0.0, added left to right."""
-    return tuple(np.cumsum(np.concatenate(([0.0], values))).tolist())
+    return _read_only(np.cumsum(np.concatenate(([0.0], values))))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SortedEndpoints:
     """Independently sorted endpoint views of an instance.
 
@@ -137,14 +164,15 @@ class SortedEndpoints:
     i of L and R need not come from the same agent) and ``k = floor(n / 2)``
     indexes the (k+1)-th smallest endpoints, the pivot of the upper-median
     convention.  ``sum_L[i]`` and ``sum_R[i]`` are the running sums of the
-    first i entries of L and R, added left to right.
+    first i entries of L and R, added left to right.  All four are
+    read-only float64 arrays; views compare by identity.
     """
 
-    L: tuple[float, ...]
-    R: tuple[float, ...]
+    L: np.ndarray
+    R: np.ndarray
     k: int
-    sum_L: tuple[float, ...]
-    sum_R: tuple[float, ...]
+    sum_L: np.ndarray
+    sum_R: np.ndarray
 
     @property
     def n(self) -> int:
@@ -200,7 +228,10 @@ def validate_instance(
         raise InvalidInstanceError("empty agent list")
     # Differences like 0.9 - 0.6 overshoot their decimal value by an ulp, so
     # the bounds are enforced up to representation noise, then pinned back.
-    slack = 1e-12 * max(B, 1.0)
+    # The noise of a difference of two numbers in [0, B] is an ulp or two of
+    # B, so the slack is a few ulps of B, and never below 1e-12; it does not
+    # grow in proportion to B.
+    slack = max(1e-12, 4 * math.ulp(B))
     try:
         ends = np.asarray(raw_intervals)
     except ValueError:  # ragged entries
@@ -221,7 +252,11 @@ def validate_instance(
     # its sign.
     a = np.where(a < 0, 0.0, np.where(a > B, float(B), a))
     b = np.where(b < 0, 0.0, np.where(b > B, float(B), b))
-    return Instance(float(B), float(delta), tuple(a.tolist()), tuple(b.tolist()))
+    instance = Instance(float(B), float(delta), tuple(a.tolist()), tuple(b.tolist()))
+    # The checked arrays hold the tuples' floats bit for bit: they are the
+    # instance's array form, so it is not rebuilt from the tuples.
+    instance.__dict__["endpoint_arrays"] = _read_only(a), _read_only(b)
+    return instance
 
 
 def _check_agent(
@@ -372,11 +407,12 @@ def merged_upper_median(sorted_values: Sequence[float], extra: float) -> float:
     """Upper median of ``sorted_values`` with one extra element inserted.
 
     Equivalent to ``upper_median(list(sorted_values) + [extra])`` without
-    re-sorting; used by deviation search where one report varies at a time.
+    re-sorting; used by deviation search where one report varies at a time,
+    and by ``run_mechanism`` on a sorted array.
     """
     n = len(sorted_values) + 1
     k = n // 2
-    if not sorted_values:
+    if len(sorted_values) == 0:  # not `not sorted_values`: arrays are accepted
         return extra
     idx = bisect_right(sorted_values, extra)
     if k < idx:

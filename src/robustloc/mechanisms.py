@@ -12,7 +12,8 @@ representing itself, and so are exactly their classical counterparts.
 ``select_representative`` maps one report to its grid point; the audit,
 which varies one report at a time, uses it.  ``run_mechanism`` snaps a
 whole profile at once with the same rule in array form, which is tested
-against the one-report rule.
+against the one-report rule, from the instance's endpoint arrays, and
+hands the aggregator the representatives sorted as an array.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .core import (
     _check_domain,
     _snap_index,
     _snap_indices,
+    _stable_sort,
     merged_upper_median,
 )
 
@@ -141,12 +143,13 @@ class MechanismSpec:
                 f"instance bound B={instance.B} differs from mechanism B={self.B}"
             )
         if self.exact_only:
-            for i, (a, b) in enumerate(zip(instance.lefts, instance.rights)):
-                if a != b:
-                    raise MechanismError(
-                        f"{self.kind.value} accepts only exact reports; "
-                        f"agent {i} sent an interval"
-                    )
+            lefts, rights = instance.endpoint_arrays
+            interval = lefts != rights
+            if interval.any():
+                raise MechanismError(
+                    f"{self.kind.value} accepts only exact reports; "
+                    f"agent {int(np.argmax(interval))} sent an interval"
+                )
         elif self.kind is not MechanismKind.CONSTANT and instance.delta > self.delta:
             # The guarantee is stated for the designer's width bound, so
             # coarser instances are rejected rather than silently re-gridded.
@@ -234,17 +237,18 @@ def _cover_mismatch(count: int) -> GridMismatchError:
 
 
 def _grid_representatives(
-    lefts: Sequence[float], rights: Sequence[float], grid: Grid, allow_wide: bool
-) -> tuple[float, ...]:
+    lefts: np.ndarray, rights: np.ndarray, grid: Grid, allow_wide: bool
+) -> np.ndarray:
     """``select_representative`` for a whole profile at once.
 
-    Agent ``i`` reports ``[lefts[i], rights[i]]``.  Both endpoints of every
-    report are snapped by one ``searchsorted`` rule, and the two-point and
-    left-median rules pick among the covered points with array masks.  A
-    refused cover count raises ``GridMismatchError`` for the first agent
-    that has one.  Representatives come back as floats, in agent order.
+    Agent ``i`` reports ``[lefts[i], rights[i]]`` (arrays, or sequences of
+    floats).  Both endpoints of every report are snapped by one
+    ``searchsorted`` rule, and the two-point and left-median rules pick
+    among the covered points with array masks.  A refused cover count
+    raises ``GridMismatchError`` for the first agent that has one.
+    Representatives come back as a float64 array, in agent order.
     """
-    a, b = np.array(lefts), np.array(rights)
+    a, b = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
     pts = np.array(grid.points)
     ix = _snap_indices(a, a, b, pts, grid.spacing)
     iy = _snap_indices(b, a, b, pts, grid.spacing)
@@ -256,7 +260,7 @@ def _grid_representatives(
     both_in = (a <= x) & (x <= b) & (a <= y) & (y <= b)
     two_point = np.where(both_in | (a + b <= x + y), x, y)
     left_median = pts[ix + (count - 1) // 2]
-    return tuple(np.where(count == 2, two_point, left_median).tolist())
+    return np.where(count == 2, two_point, left_median)
 
 
 def _fixed(value: float, *_) -> float:
@@ -271,8 +275,8 @@ def _exact_point(report: Interval) -> float:
 
 def _phantom_half(half: float, sorted_others: Sequence[float], rep: float) -> float:
     """Median of the lowest representative, ``half`` and the highest one."""
-    lo = min(sorted_others[0], rep) if sorted_others else rep
-    hi = max(sorted_others[-1], rep) if sorted_others else rep
+    lo = min(sorted_others[0], rep) if len(sorted_others) else rep
+    hi = max(sorted_others[-1], rep) if len(sorted_others) else rep
     return sorted((lo, half, hi))[1]
 
 
@@ -280,22 +284,25 @@ def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     """Apply a mechanism to a profile of reports: check, represent, aggregate.
 
     On a grid the whole profile is snapped at once, from the instance's
-    endpoint tuples, by the array form of ``select_representative``.
+    endpoint arrays, by the array form of ``select_representative``.
     Without one the left endpoints stand in: ``check`` has made every
     report exact for the exact rule, and the constant ignores its reports,
-    so no ``Interval`` is built.  The chosen point and the representatives
-    are floats.  Exact kinds and the constant report no representatives
-    and no grid.
+    so no ``Interval`` is built.  The aggregator gets the others'
+    representatives as a stably sorted array, the order ``sorted`` gives.
+    The chosen point and the representatives are floats.  Exact kinds and
+    the constant report no representatives and no grid.
     """
     spec.check(instance)
     grid, _, aggregate = spec.resolve()
+    lefts, rights = instance.endpoint_arrays
     if grid is None:
-        reps = instance.lefts
+        reps = lefts
     else:
-        allow_wide = spec.spacing is not None
-        reps = _grid_representatives(instance.lefts, instance.rights, grid, allow_wide)
+        reps = _grid_representatives(lefts, rights, grid, spec.spacing is not None)
     # Any one representative can play the report that joins the others.
-    p = aggregate(sorted(reps[1:]), reps[0])
+    p = float(aggregate(_stable_sort(reps[1:]), reps[0]))
     return MechanismOutcome(
-        p=p, representatives=reps if spec.kind in _GRID_KINDS else (), grid=grid
+        p=p,
+        representatives=tuple(reps.tolist()) if spec.kind in _GRID_KINDS else (),
+        grid=grid,
     )

@@ -4,24 +4,26 @@ The average-cost optimum is found by a breakpoint sweep: the max-regret
 curve is piecewise linear on the median envelope [L_{k+1}, R_{k+1}] with
 kinks only at endpoint values, so it suffices to test every kink plus the
 single interior crossing of the two regret components per segment.  The
+kinks, their counts and sums, the crossings and the scores are arrays, and
+every candidate is scored with the evaluator's elementwise arithmetic, so
+the sweep returns the floats a loop over the candidates gives.  The
 maximum-cost optimum has the closed form (L_1 + R_1 + L_n + R_n) / 4.  A
 step-sweep oracle over [0, B] provides an independent cross-check.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Instance, SortedEndpoints, sorted_endpoints
+from .core import Instance, sorted_endpoints
 from .regret import (
     Objective,
     RegretEvaluation,
     _AvgCostEvaluator,
-    _evaluate,
     _lattice_steps,
+    _max_regret,
     _MaxCostEvaluator,
     maxcost_max_regret,
 )
@@ -45,51 +47,56 @@ class SolveResult:
     certificate: RegretEvaluation
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BreakpointState:
-    """Sweep bookkeeping: sorted candidate breakpoints with, per breakpoint
-    h, the count/sum of right endpoints >= h among sorted positions <= k
-    (x, S1) and of left endpoints <= h among positions >= k+2 (y, S2)."""
+    """Sweep bookkeeping as arrays: the sorted candidate breakpoints ``H``
+    with, per breakpoint h, the count/sum of right endpoints >= h among
+    sorted positions <= k (x, S1) and of left endpoints <= h among
+    positions >= k+2 (y, S2)."""
 
-    H: tuple[float, ...]
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    S1: tuple[float, ...]
-    S2: tuple[float, ...]
-
-
-def _candidates(se: SortedEndpoints) -> list[float]:
-    lo, hi = se.L[se.k], se.R[se.k]
-    cands = {lo, hi}
-    for i in range(0, se.k + 1):
-        if lo < se.R[i] < hi:
-            cands.add(se.R[i])
-    for j in range(se.k, se.n):
-        if lo < se.L[j] < hi:
-            cands.add(se.L[j])
-    return sorted(cands)
+    H: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    S1: np.ndarray
+    S2: np.ndarray
 
 
 def breakpoint_state(instance: Instance) -> BreakpointState:
+    """The kinks of the max-regret curve on the median envelope and their sums.
+
+    The envelope [L_{k+1}, R_{k+1}] always contributes both ends; right
+    endpoints at sorted positions <= k+1 and left endpoints at positions
+    >= k+1 contribute when strictly inside it.
+    """
     se = sorted_endpoints(instance)
-    H = _candidates(se)
-    k, n = se.k, se.n
-    xs, ys, s1s, s2s = [], [], [], []
-    for h in H:
-        j0 = bisect_left(se.R, h, 0, k)
-        xs.append(k - j0)
-        s1s.append(se.sum_R[k] - se.sum_R[j0])
-        h0 = bisect_right(se.L, h, k + 1, n)
-        ys.append(h0 - (k + 1))
-        s2s.append(se.sum_L[h0] - se.sum_L[k + 1])
+    k = se.k
+    lo, hi = se.L[k], se.R[k]
+    inner = np.concatenate((se.R[: k + 1], se.L[k:]))
+    inner = np.unique(inner[(lo < inner) & (inner < hi)])
+    # The ends bound every inner candidate, so they are placed, not sorted
+    # in.  When they are equal (0.0 and -0.0 are) the left one is kept.
+    H = np.concatenate(([lo], inner, [hi])) if lo < hi else np.array([lo])
+    j0 = np.searchsorted(se.R[:k], H, side="left")
+    h0 = (k + 1) + np.searchsorted(se.L[k + 1 :], H, side="right")
     return BreakpointState(
-        H=tuple(H), x=tuple(xs), y=tuple(ys), S1=tuple(s1s), S2=tuple(s2s)
+        H=H,
+        x=k - j0,
+        y=h0 - (k + 1),
+        S1=se.sum_R[k] - se.sum_R[j0],
+        S2=se.sum_L[h0] - se.sum_L[k + 1],
     )
 
 
-def _first_minimum(points, ev) -> SolveResult:
+def _first_minimum(points: np.ndarray, ev) -> SolveResult:
     """The first of ``points`` of least max regret, certified by ``ev``."""
-    cert = _evaluate(ev, min(points, key=ev.value))
+    values, o1, o2 = _max_regret(ev, points)
+    i = int(np.argmin(values))  # the first minimum, as min() keeps it
+    cert = RegretEvaluation(
+        p=float(points[i]),
+        value=float(values[i]),
+        obj1=float(o1[i]),
+        obj2=float(o2[i]),
+    )
     return SolveResult(p_opt=cert.p, omv=cert.value, certificate=cert)
 
 
@@ -104,29 +111,24 @@ def solve_minimax_avgcost(instance: Instance) -> SolveResult:
     ev = _AvgCostEvaluator(se)
     state = breakpoint_state(instance)
     H = state.H
-    candidates = list(H)
-    c1, c2 = ev.c1, ev.c2
-    for i in range(len(H) - 1):
-        # On the open segment (H[i], H[i+1]) the index sets are frozen:
-        # right endpoints >= H[i+1] are the ones still above p, and left
-        # endpoints <= H[i] the ones already below.
-        x, s1 = state.x[i + 1], state.S1[i + 1]
-        y, s2 = state.y[i], state.S2[i]
-        a1 = 2.0 * s1 + c1 * se.R[se.k]
-        b1 = 2.0 * x + c1
-        a2 = 2.0 * s2 + c2 * se.L[se.k]
-        b2 = 2.0 * y + c2
-        denom = b1 + b2  # = 2(x + y + 1) > 0
-        p_cross = (a1 + a2) / denom
-        if H[i] < p_cross < H[i + 1]:
-            candidates.append(p_cross)
-    return _first_minimum(sorted(candidates), ev)
+    # On the open segment (H[i], H[i+1]) the index sets are frozen: right
+    # endpoints >= H[i+1] are the ones still above p, and left endpoints
+    # <= H[i] the ones already below.
+    a1 = 2.0 * state.S1[1:] + ev.c1 * se.R[se.k]
+    b1 = 2.0 * state.x[1:] + ev.c1
+    a2 = 2.0 * state.S2[:-1] + ev.c2 * se.L[se.k]
+    b2 = 2.0 * state.y[:-1] + ev.c2
+    p_cross = (a1 + a2) / (b1 + b2)  # b1 + b2 = 2(x + y + 1) > 0
+    inside = (H[:-1] < p_cross) & (p_cross < H[1:])
+    # Each crossing lies strictly inside its own segment, so the sort has
+    # no ties to order.
+    return _first_minimum(np.sort(np.concatenate((H, p_cross[inside]))), ev)
 
 
 def solve_minimax_maxcost(instance: Instance) -> SolveResult:
     """Closed-form maximum-cost optimum, clamped into [0, B] defensively."""
     se = sorted_endpoints(instance)
-    p = (se.L[0] + se.R[0] + se.L[-1] + se.R[-1]) / 4.0
+    p = float((se.L[0] + se.R[0] + se.L[-1] + se.R[-1]) / 4.0)
     p = min(max(p, 0.0), instance.B)
     cert = maxcost_max_regret(instance, p)
     return SolveResult(p_opt=p, omv=cert.value, certificate=cert)
@@ -145,11 +147,12 @@ def grid_search_minimax(
     """
     se = sorted_endpoints(instance)
     m = _lattice_steps(instance.B, step)
-    points = set(float(v) for v in np.arange(m + 1) * step)
-    points.add(instance.B)
-    points.update(se.L)
-    points.update(se.R)
-    in_domain = sorted(p for p in points if 0.0 <= p <= instance.B)
+    lattice = np.arange(m + 1) * step
+    points = np.unique(np.concatenate((lattice, [instance.B], se.L, se.R)))
+    # The lattice's first point is 0.0, so the sweep's zero is 0.0; adding
+    # 0.0 turns a -0.0 that np.unique kept instead into it, and changes no
+    # other point.
+    points = points[(0.0 <= points) & (points <= instance.B)] + 0.0
     if objective is Objective.AVG_COST:
-        return _first_minimum(in_domain, _AvgCostEvaluator(se))
-    return _first_minimum(in_domain, _MaxCostEvaluator(se))
+        return _first_minimum(points, _AvgCostEvaluator(se))
+    return _first_minimum(points, _MaxCostEvaluator(se))

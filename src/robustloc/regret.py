@@ -104,14 +104,15 @@ def regret_of(
 
 
 class _AvgCostEvaluator:
-    """Closed-form average-cost max regret with O(log n) point queries.
+    """Closed-form average-cost max regret at a point or an array of points.
 
     obj1(p) = (1/n) (2 sum_{i=j..k} (R_i - p) + (n - 2k)(R_{k+1} - p)) with
     j the smallest index <= k such that R_j > p, and obj2(p) mirrored on
     the left endpoints with coefficient 2(k+1) - n.  The coefficients agree
     (= 1) for odd n; for even n they differ because the upper-median
     convention is asymmetric, and both are validated against the
-    brute-force oracle.  Partial sums come from the view's prefix sums.
+    brute-force oracle.  Partial sums come from the view's prefix sums and
+    the indices from one ``searchsorted`` per side, O(log n) a point.
     """
 
     def __init__(self, se: SortedEndpoints):
@@ -119,41 +120,50 @@ class _AvgCostEvaluator:
         self.c1 = se.n - 2 * se.k
         self.c2 = 2 * (se.k + 1) - se.n
 
-    def components(self, p: float) -> tuple[float, float]:
+    def components(self, p):
         se, n, k = self.se, self.n, self.k
-        j0 = bisect_right(se.R, p, 0, k)
+        j0 = np.searchsorted(se.R[:k], p, side="right")
         x = k - j0
         s1 = se.sum_R[k] - se.sum_R[j0]
         term1 = 2.0 * (s1 - x * p) + self.c1 * (se.R[k] - p)
-        h0 = bisect_left(se.L, p, k + 1, n)
+        h0 = (k + 1) + np.searchsorted(se.L[k + 1 :], p, side="left")
         y = h0 - (k + 1)
         s2 = se.sum_L[h0] - se.sum_L[k + 1]
         term2 = 2.0 * (y * p - s2) + self.c2 * (p - se.L[k])
-        return max(0.0, term1 / n), max(0.0, term2 / n)
-
-    def value(self, p: float) -> float:
-        o1, o2 = self.components(p)
-        return max(o1, o2)
+        return _positive(term1 / n), _positive(term2 / n)
 
 
 class _MaxCostEvaluator:
     """Maximum-cost max regret: (R_1 + R_n)/2 - p against p - (L_1 + L_n)/2."""
 
     def __init__(self, se: SortedEndpoints):
-        self.right = (se.R[0] + se.R[-1]) / 2.0
-        self.left = (se.L[0] + se.L[-1]) / 2.0
+        self.right = float((se.R[0] + se.R[-1]) / 2.0)
+        self.left = float((se.L[0] + se.L[-1]) / 2.0)
 
-    def components(self, p: float) -> tuple[float, float]:
-        return max(0.0, self.right - p), max(0.0, p - self.left)
+    def components(self, p):
+        return _positive(self.right - p), _positive(p - self.left)
 
-    def value(self, p: float) -> float:
-        return max(0.0, self.right - p, p - self.left)
+
+def _positive(v):
+    """``max(0.0, v)`` elementwise: 0.0 unless v > 0, so never -0.0 or NaN."""
+    return np.where(v > 0.0, v, 0.0)
+
+
+def _max_regret(ev, p):
+    """Max regret at ``p`` (a float or an array) and its two components.
+
+    The larger component, the first on ties, as ``max(o1, o2)`` picks.
+    """
+    o1, o2 = ev.components(p)
+    return np.where(o2 > o1, o2, o1), o1, o2
 
 
 def _evaluate(ev, p: float) -> RegretEvaluation:
-    """Max regret of p under either evaluator, with both components."""
-    o1, o2 = ev.components(p)
-    return RegretEvaluation(p=p, value=max(o1, o2), obj1=o1, obj2=o2)
+    """Max regret of p under either evaluator, with both components, as floats."""
+    value, o1, o2 = _max_regret(ev, p)
+    return RegretEvaluation(
+        p=float(p), value=float(value), obj1=float(o1), obj2=float(o2)
+    )
 
 
 def avgcost_max_regret(instance: Instance, p: float) -> RegretEvaluation:

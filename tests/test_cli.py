@@ -371,6 +371,49 @@ class TestCommandLine:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert not (tmp_path / "out.csv").exists()
 
+    @pytest.mark.parametrize("override,named", [
+        ({"bogus": 1}, "bogus"),
+        ({"mechanisms": [{"kind": "constant", "locaton": 0.3}]}, "locaton"),
+        ({"mechanisms": [{"kind": "constant", "locaton": 0.3}], "bogus": 1}, "bogus"),
+        ({"mechanisms": [{"kind": "equispaced-median", "spacing": 0.05}]}, "spacing"),
+        ({"mechanisms": [{"kind": "equispaced-median", "location": 0.3}]},
+         "location applies only to the constant mechanism"),
+        ({"mechanisms": [{"kind": "exact-median", "location": 0.3}]},
+         "location applies only to the constant mechanism"),
+    ], ids=["top-level", "descriptor-typo", "typo-and-top-level",
+            "descriptor-spacing", "location-on-grid-kind", "location-on-exact-kind"])
+    def test_unknown_and_inapplicable_config_keys_rejected(
+        self, override, named, tmp_path, capsys
+    ):
+        data = {
+            "seed": 3, "trials": 1, "n_values": [3], "B": 1.0,
+            "delta_values": [0.2], "objective": "avg",
+            "mechanisms": [{"kind": "equispaced-median"}],
+        }
+        data.update(override)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert named in lines[0]
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_known_keys_still_accepted(self, tmp_path):
+        data = {
+            "seed": 3, "trials": 1, "n_values": [3], "B": 1.0,
+            "delta_values": [0.2], "objective": "avg", "oracle_step": None,
+            "mechanisms": [{"kind": "equispaced-median", "location": None},
+                           {"kind": "constant", "location": 0.3}],
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")]) == 0
+        assert "constant(0.3)" in (tmp_path / "out.csv").read_text()
+
     @pytest.mark.parametrize("command,data", [
         (["solve", "--objective", "avg"],
          {"B": 1.0, "delta": 0.2, "agents": [{"a": float("nan"), "b": 0.3}]}),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from robustloc import (
     Grid,
     GridMismatchError,
+    Instance,
     Interval,
     InvalidInstanceError,
     MechanismKind,
@@ -20,7 +21,7 @@ from robustloc import (
     upper_median,
     validate_instance,
 )
-from robustloc.core import _build_spaced_grid, merged_upper_median
+from robustloc.core import _build_spaced_grid, _stable_sort, merged_upper_median
 
 
 class TestValidateInstance:
@@ -124,6 +125,33 @@ class TestValidateInstance:
         se = sorted_endpoints(inst)
         assert all(l <= r for l, r in zip(se.L, se.R))
 
+    @pytest.mark.parametrize("raw,B,delta,message", [
+        ([(-9.2e287, -9.2e287), (0.5, 0.6)], 1e300, 0.2, "below 0"),
+        ([(0.5, 1e300 * (1 + 5e-13))], 1e300, 0.2, "above B"),
+        ([(0.0, 1e299 * (1 + 5e-12))], 1e300, 1e299, "exceeds delta"),
+    ], ids=["far-below-0", "far-above-B", "far-too-wide"])
+    def test_slack_does_not_grow_with_B(self, raw, B, delta, message):
+        # A slack of 1e-12 * B let these through at B = 1e300 and pinned
+        # the first one to Interval(0.0, 0.0); a few ulps of B do not.
+        with pytest.raises(InvalidInstanceError, match=message):
+            validate_instance(raw, B=B, delta=delta)
+
+    def test_slack_absorbs_representation_noise_at_large_B(self):
+        # 9999.7 - 9999.4 exceeds 0.3 by about an ulp of 1e4.
+        inst = validate_instance([(9999.4, 9999.7), (0.0, 0.3)], B=1e4, delta=0.3)
+        assert inst.lefts == (9999.4, 0.0) and inst.rights == (9999.7, 0.3)
+
+    def test_array_form_holds_the_tuples_read_only(self):
+        inst = validate_instance([(-0.0, 0.2), (0.5, 0.6)], B=1.0, delta=0.2)
+        lefts, rights = inst.endpoint_arrays
+        assert inst.endpoint_arrays is inst.endpoint_arrays
+        assert [v.hex() for v in lefts.tolist()] == [v.hex() for v in inst.lefts]
+        assert rights.tolist() == list(inst.rights)
+        assert lefts.dtype == np.float64 and not lefts.flags.writeable
+        rebuilt = Instance(inst.B, inst.delta, inst.lefts, inst.rights)
+        assert rebuilt.endpoint_arrays[0].tolist() == lefts.tolist()
+        assert not rebuilt.endpoint_arrays[1].flags.writeable
+
     def test_agents_are_the_endpoint_tuples_zipped(self, rng):
         lefts = rng.uniform(0, 0.7, 50)
         raw = [(float(a), float(a + w)) for a, w in zip(lefts, rng.uniform(0, 0.3, 50))]
@@ -143,12 +171,12 @@ class TestSortedEndpoints:
     def test_two_agents(self):
         inst = validate_instance([(0, 1), (3, 4)], B=4, delta=1)
         se = sorted_endpoints(inst)
-        assert se.L == (0, 3) and se.R == (1, 4)
+        assert se.L.tolist() == [0, 3] and se.R.tolist() == [1, 4]
         assert se.k == 1 and (se.L[se.k], se.R[se.k]) == (3, 4)
 
     def test_single_agent(self):
         se = sorted_endpoints(validate_instance([(0.2, 0.3)], B=1, delta=0.1))
-        assert se.L == (0.2,) and se.R == (0.3,)
+        assert se.L.tolist() == [0.2] and se.R.tolist() == [0.3]
         assert se.k == 0 and (se.L[se.k], se.R[se.k]) == (0.2, 0.3)
 
     def test_three_agents_sorted_independently(self):
@@ -156,8 +184,8 @@ class TestSortedEndpoints:
             [(0.4, 0.5), (0.9, 1.0), (0.0, 0.1)], B=1, delta=0.1
         )
         se = sorted_endpoints(inst)
-        assert se.L == (0.0, 0.4, 0.9)
-        assert se.R == (0.1, 0.5, 1.0)
+        assert se.L.tolist() == [0.0, 0.4, 0.9]
+        assert se.R.tolist() == [0.1, 0.5, 1.0]
         assert se.k == 1 and (se.L[se.k], se.R[se.k]) == (0.4, 0.5)
 
     @given(
@@ -188,6 +216,28 @@ class TestSortedEndpoints:
         twin = validate_instance([(0.4, 0.5), (0.0, 0.1)], B=1, delta=0.1)
         assert inst == twin and hash(inst) == hash(twin)
         assert repr(inst) == repr(twin)
+
+    def test_view_is_read_only_arrays_sorted_stably(self, rng):
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            ends = rng.choice([0.0, -0.0, 0.25, 0.5], size=n)
+            inst = validate_instance([(v, v) for v in ends], B=1.0, delta=0.0)
+            se = sorted_endpoints(inst)
+            # sorted() is stable: 0.0 and -0.0 stay in agent order.
+            want = [v.hex() for v in sorted(inst.lefts)]
+            assert [v.hex() for v in se.L.tolist()] == want
+            assert [v.hex() for v in se.R.tolist()] == want
+            for values in (se.L, se.R, se.sum_L, se.sum_R):
+                assert values.dtype == np.float64 and not values.flags.writeable
+
+    def test_fast_stable_sort_is_numpys_stable_sort(self, rng):
+        for n in (0, 1, 2, 5, 40, 3000):
+            for pool in ([0.0, -0.0], [0.0, -0.0, 0.1, 0.1, 0.7], None):
+                values = (rng.uniform(-1.0, 1.0, n) if pool is None
+                          else rng.choice(pool, size=n))
+                got = _stable_sort(values).tolist()
+                want = np.sort(values, kind="stable").tolist()
+                assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_prefix_sums_add_left_to_right(self):
         inst = validate_instance(
@@ -228,6 +278,14 @@ class TestUpperMedian:
         assert merged_upper_median(sorted(values), extra) == upper_median(
             list(values) + [extra]
         )
+
+    @given(
+        st.lists(st.floats(0, 1, allow_nan=False), min_size=0, max_size=12),
+        st.floats(0, 1, allow_nan=False),
+    )
+    def test_merged_takes_a_sorted_array_too(self, values, extra):
+        got = merged_upper_median(np.array(sorted(values)), extra)
+        assert float(got).hex() == merged_upper_median(sorted(values), extra).hex()
 
 
 class TestBuildGrid:

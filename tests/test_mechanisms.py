@@ -274,7 +274,7 @@ class TestArrayRepresentativeRule:
                 for a, b in zip(lefts, rights)
             )
             got = _grid_representatives(lefts, rights, grid, allow_wide)
-            assert got == want, (grid.anchor, grid.spacing, B, delta)
+            assert tuple(got.tolist()) == want, (grid.anchor, grid.spacing, B, delta)
             checked += len(want)
         assert checked > 100_000
 
@@ -283,18 +283,18 @@ class TestArrayRepresentativeRule:
         lefts, rights = (0.1, 0.1, 0.3), (0.2, 0.3, 0.4)
         with pytest.raises(GridMismatchError, match="covers 5 grid points"):
             _grid_representatives(lefts, rights, grid, allow_wide=False)
-        assert _grid_representatives(lefts, rights, grid, allow_wide=True) == (
+        assert _grid_representatives(lefts, rights, grid, True).tolist() == [
             select_representative(Interval(0.1, 0.2), grid),
             select_representative(Interval(0.1, 0.3), grid, allow_wide=True),
             select_representative(Interval(0.3, 0.4), grid),
-        )
+        ]
 
     def test_single_point_grid(self):
         # A spacing above B leaves one grid point; every report maps to it.
         grid = _build_spaced_grid(1.0, 1.5, "zero")
         assert grid.points == (0.0,)
         got = _grid_representatives((0.0, 0.4, 1.0), (0.2, 0.9, 1.0), grid, True)
-        assert got == (0.0, 0.0, 0.0)
+        assert got.tolist() == [0.0, 0.0, 0.0]
 
     def test_run_mechanism_returns_floats(self, rng):
         inst = random_instance(2001, 1.0, 0.3, rng)
@@ -305,3 +305,75 @@ class TestArrayRepresentativeRule:
             assert out.representatives == tuple(
                 select_representative(iv, out.grid) for iv in inst.agents
             )
+
+
+def reference_run(s, inst):
+    """``run_mechanism`` as one scalar loop: each report's representative,
+    then the aggregator on ``sorted`` of the others."""
+    _, represent, aggregate = s.resolve()
+    if s.kind is MechanismKind.CONSTANT:
+        reps = inst.lefts
+    else:
+        reps = tuple(represent(iv) for iv in inst.agents)
+    p = aggregate(sorted(reps[1:]), reps[0])
+    return p, reps if s.kind in (EQ_MED, EQ_PH) else ()
+
+
+def signed_zero_profiles(rng):
+    """Exact profiles whose reports include 0.0 and -0.0, odd and even n."""
+    for n in (1, 2, 3, 4, 5, 8, 11):
+        for _ in range(30):
+            pts = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=n)
+            yield validate_instance([(v, v) for v in pts], B=1.0, delta=0.0)
+
+
+class TestRunMechanismParity:
+    """The array path of ``run_mechanism`` against the scalar loop, bit for bit."""
+
+    def check(self, s, inst):
+        out = run_mechanism(s, inst)
+        p, reps = reference_run(s, inst)
+        assert type(out.p) is float and out.p.hex() == float(p).hex()
+        assert all(type(r) is float for r in out.representatives)
+        assert [r.hex() for r in out.representatives] == [r.hex() for r in reps]
+
+    @pytest.mark.parametrize("kind", list(MechanismKind))
+    def test_random_profiles_odd_and_even_n(self, kind, rng):
+        for n in (1, 2, 3, 4, 7, 10, 51, 200):
+            for delta in (0.0, 0.1, 0.3):
+                inst = random_instance(n, 1.0, delta, rng)
+                exact = kind.value.startswith("exact")
+                if exact and delta > 0:
+                    continue
+                location = 0.5 if kind is MechanismKind.CONSTANT else None
+                self.check(spec(kind, delta=delta, location=location), inst)
+
+    @pytest.mark.parametrize("kind", [
+        MechanismKind.EXACT_MEDIAN,
+        MechanismKind.EXACT_PHANTOM_HALF,
+        EQ_MED,
+        EQ_PH,
+    ])
+    def test_signed_zero_reports(self, kind, rng):
+        seen_negative = False
+        for inst in signed_zero_profiles(rng):
+            self.check(spec(kind, delta=0.0), inst)
+            out = run_mechanism(spec(kind, delta=0.0), inst)
+            seen_negative |= math.copysign(1.0, out.p) < 0
+        # The median kinds do pick a -0.0 report; the phantom rule may too.
+        if kind in (MechanismKind.EXACT_MEDIAN, EQ_MED):
+            assert seen_negative
+
+    def test_grid_kinds_with_zero_endpoints(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(1, 9))
+            a = rng.choice([0.0, -0.0, 0.1, 0.35], size=n)
+            inst = validate_instance([(v, v + 0.1) for v in a], B=1.0, delta=0.2)
+            for kind in (EQ_MED, EQ_PH):
+                self.check(spec(kind, delta=0.2), inst)
+
+    def test_exact_check_names_first_interval_agent(self):
+        inst = validate_instance([(0.1, 0.1), (-0.0, 0.0), (0.2, 0.3), (0.4, 0.5)],
+                                 B=1.0, delta=0.1)
+        with pytest.raises(MechanismError, match="agent 2 sent an interval"):
+            run_mechanism(spec(MechanismKind.EXACT_MEDIAN, delta=0.1), inst)

@@ -1,11 +1,15 @@
 import math
+from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 
 import robustloc.regret as regret_module
 from robustloc import (
     Objective,
     OracleScaleError,
+    RegretEvaluation,
+    SolveResult,
     maxcost_max_regret,
     avgcost_max_regret,
     breakpoint_state,
@@ -16,9 +20,198 @@ from robustloc import (
     sorted_endpoints,
     validate_instance,
 )
+from robustloc.regret import _lattice_steps
 
 AVG = Objective.AVG_COST
 MC = Objective.MAX_COST
+
+
+# Scalar references: the breakpoint sweep, its evaluators and the grid
+# search as one Python loop over floats each, with bisect on sorted lists.
+# The library scores the same points with the same elementwise arithmetic
+# on arrays, so the two must agree bit for bit.
+
+
+class ScalarView:
+    """The sorted endpoint view as lists of Python floats."""
+
+    def __init__(self, instance):
+        se = sorted_endpoints(instance)
+        self.L, self.R = se.L.tolist(), se.R.tolist()
+        self.sum_L, self.sum_R = se.sum_L.tolist(), se.sum_R.tolist()
+        self.k, self.n = se.k, se.n
+
+
+class ScalarAvgCost:
+    def __init__(self, se):
+        self.se, self.n, self.k = se, se.n, se.k
+        self.c1 = se.n - 2 * se.k
+        self.c2 = 2 * (se.k + 1) - se.n
+
+    def components(self, p):
+        se, n, k = self.se, self.n, self.k
+        j0 = bisect_right(se.R, p, 0, k)
+        x = k - j0
+        s1 = se.sum_R[k] - se.sum_R[j0]
+        term1 = 2.0 * (s1 - x * p) + self.c1 * (se.R[k] - p)
+        h0 = bisect_left(se.L, p, k + 1, n)
+        y = h0 - (k + 1)
+        s2 = se.sum_L[h0] - se.sum_L[k + 1]
+        term2 = 2.0 * (y * p - s2) + self.c2 * (p - se.L[k])
+        return max(0.0, term1 / n), max(0.0, term2 / n)
+
+    def value(self, p):
+        return max(*self.components(p))
+
+
+class ScalarMaxCost:
+    def __init__(self, se):
+        self.right = (se.R[0] + se.R[-1]) / 2.0
+        self.left = (se.L[0] + se.L[-1]) / 2.0
+
+    def components(self, p):
+        return max(0.0, self.right - p), max(0.0, p - self.left)
+
+    def value(self, p):
+        return max(0.0, self.right - p, p - self.left)
+
+
+def scalar_first_minimum(points, ev):
+    p = min(points, key=ev.value)
+    o1, o2 = ev.components(p)
+    cert = RegretEvaluation(p=p, value=max(o1, o2), obj1=o1, obj2=o2)
+    return SolveResult(p_opt=cert.p, omv=cert.value, certificate=cert)
+
+
+def scalar_breakpoint_state(instance):
+    se = ScalarView(instance)
+    k, n = se.k, se.n
+    lo, hi = se.L[k], se.R[k]
+    cands = {lo, hi}
+    cands.update(r for r in se.R[: k + 1] if lo < r < hi)
+    cands.update(v for v in se.L[k:] if lo < v < hi)
+    H = sorted(cands)
+    xs, ys, s1s, s2s = [], [], [], []
+    for h in H:
+        j0 = bisect_left(se.R, h, 0, k)
+        xs.append(k - j0)
+        s1s.append(se.sum_R[k] - se.sum_R[j0])
+        h0 = bisect_right(se.L, h, k + 1, n)
+        ys.append(h0 - (k + 1))
+        s2s.append(se.sum_L[h0] - se.sum_L[k + 1])
+    return H, xs, ys, s1s, s2s
+
+
+def scalar_solve_avgcost(instance):
+    se = ScalarView(instance)
+    ev = ScalarAvgCost(se)
+    H, xs, ys, s1s, s2s = scalar_breakpoint_state(instance)
+    candidates = list(H)
+    for i in range(len(H) - 1):
+        a1 = 2.0 * s1s[i + 1] + ev.c1 * se.R[se.k]
+        b1 = 2.0 * xs[i + 1] + ev.c1
+        a2 = 2.0 * s2s[i] + ev.c2 * se.L[se.k]
+        b2 = 2.0 * ys[i] + ev.c2
+        p_cross = (a1 + a2) / (b1 + b2)
+        if H[i] < p_cross < H[i + 1]:
+            candidates.append(p_cross)
+    return scalar_first_minimum(sorted(candidates), ev)
+
+
+def scalar_grid_search(instance, objective, step):
+    se = ScalarView(instance)
+    m = _lattice_steps(instance.B, step)
+    points = set(float(v) for v in np.arange(m + 1) * step)
+    points.add(instance.B)
+    points.update(se.L)
+    points.update(se.R)
+    in_domain = sorted(p for p in points if 0.0 <= p <= instance.B)
+    ev = ScalarAvgCost(se) if objective is AVG else ScalarMaxCost(se)
+    return scalar_first_minimum(in_domain, ev)
+
+
+def bits(result):
+    """``(p_opt, omv, obj1, obj2)`` as exact hex strings, which tell -0.0
+    from 0.0; every one must be a Python float."""
+    cert = result.certificate
+    values = (result.p_opt, result.omv, cert.obj1, cert.obj2)
+    assert all(type(v) is float for v in values + (cert.p, cert.value))
+    return tuple(v.hex() for v in values)
+
+
+def parity_instances():
+    """3 120 seeded instances, n from 1 to 39 and delta in {0, 0.05, 0.3, 1},
+    then profiles with signed zeros, duplicate endpoints and n of 1 and 2."""
+    gen = np.random.Generator(np.random.PCG64(20261018))
+    for n in range(1, 40):
+        for delta in (0.0, 0.05, 0.3, 1.0):
+            for _ in range(20):
+                yield random_instance(n, 1.0, delta, gen)
+    for _ in range(400):
+        n = int(gen.integers(1, 12))
+        delta = float(gen.choice([0.0, 0.1, 0.3]))
+        # Endpoints on a coarse lattice repeat; zeros get a random sign.
+        a = np.round(gen.uniform(0.0, 1.0 - delta, n) * 8) / 8
+        w = np.round(gen.uniform(0.0, delta, n) * 40) / 40
+        ends = np.column_stack((a, np.minimum(a + w, 1.0)))
+        ends[ends == 0.0] = gen.choice([0.0, -0.0], size=int((ends == 0.0).sum()))
+        yield validate_instance(ends, B=1.0, delta=delta)
+    yield validate_instance([(-0.0, 0.0)], B=1.0, delta=0.0)
+    yield validate_instance([(-0.0, -0.0)], B=1.0, delta=0.0)
+    yield validate_instance([(0.0, 0.0), (-0.0, -0.0)], B=1.0, delta=0.0)
+    yield validate_instance([(-0.0, 0.0), (0.0, -0.0), (-0.0, 0.2)], B=1.0, delta=0.2)
+    yield validate_instance([(0.1, 0.2), (0.1, 0.2)], B=1.0, delta=0.1)
+    yield validate_instance([(0.3, 0.3)], B=1.0, delta=0.0)
+    yield validate_instance([(0.0, 0.25), (0.25, 0.5)], B=1.0, delta=0.25)
+
+
+class TestScalarParity:
+    """The array sweep, breakpoints and grid search against the scalar references."""
+
+    def test_solver_and_breakpoints_bit_for_bit(self):
+        checked = 0
+        for inst in parity_instances():
+            assert bits(solve_minimax_avgcost(inst)) == bits(scalar_solve_avgcost(inst))
+            state = breakpoint_state(inst)
+            got = (state.H.tolist(), state.x.tolist(), state.y.tolist(),
+                   state.S1.tolist(), state.S2.tolist())
+            want = scalar_breakpoint_state(inst)
+            assert [[v.hex() if isinstance(v, float) else v for v in field]
+                    for field in got] == [
+                   [v.hex() if isinstance(v, float) else v for v in field]
+                   for field in want]
+            checked += 1
+        assert checked >= 3000
+
+    @pytest.mark.parametrize("objective", [AVG, MC])
+    def test_grid_search_bit_for_bit(self, objective):
+        for i, inst in enumerate(parity_instances()):
+            if i % 10 == 0 or inst.n <= 3:
+                got = grid_search_minimax(inst, objective, step=0.01)
+                assert bits(got) == bits(scalar_grid_search(inst, objective, 0.01))
+
+    def test_signed_zero_survives_as_the_scalar_keeps_it(self):
+        inst = validate_instance([(-0.0, 0.0)], B=1.0, delta=0.0)
+        assert math.copysign(1.0, solve_minimax_avgcost(inst).p_opt) == -1.0
+        # The lattice's 0.0 is the grid search's zero, whatever the endpoints.
+        swept = grid_search_minimax(inst, AVG, step=0.25)
+        assert math.copysign(1.0, swept.p_opt) == 1.0
+
+    @pytest.mark.parametrize("objective,evaluate", [
+        (AVG, avgcost_max_regret), (MC, maxcost_max_regret),
+    ])
+    def test_closed_forms_return_floats_bit_for_bit(self, objective, evaluate, rng):
+        for _ in range(200):
+            inst = random_instance(int(rng.integers(1, 12)), 1.0, 0.3, rng)
+            se = ScalarView(inst)
+            ev = ScalarAvgCost(se) if objective is AVG else ScalarMaxCost(se)
+            for p in rng.uniform(-0.1, 1.1, 5).tolist() + se.L + se.R:
+                got = evaluate(inst, p)
+                o1, o2 = ev.components(p)
+                want = (p, max(o1, o2), o1, o2)
+                values = (got.p, got.value, got.obj1, got.obj2)
+                assert all(type(v) is float for v in values)
+                assert [v.hex() for v in values] == [v.hex() for v in want]
 
 
 class TestSolveAvgCost:
