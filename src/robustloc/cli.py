@@ -145,12 +145,11 @@ class ExperimentConfig:
     oracle_step: float | None = None
 
     def __post_init__(self):
+        for name in ("n_values", "delta_values", "mechanisms"):
+            if not getattr(self, name):
+                raise InvalidInstanceError(f"{name} must not be empty")
         if self.trials < 1:
             raise InvalidInstanceError(f"trials must be >= 1, got {self.trials}")
-        if not 0 < self.B < math.inf:
-            raise InvalidInstanceError(f"B must be positive and finite, got {self.B}")
-        if not all(0 <= d <= self.B for d in self.delta_values):
-            raise InvalidInstanceError("every delta must lie in [0, B]")
         if self.oracle_step is not None and not 0 < self.oracle_step < math.inf:
             raise InvalidInstanceError(
                 f"oracle_step must be positive and finite, got {self.oracle_step}"
@@ -159,11 +158,10 @@ class ExperimentConfig:
             if n < 1:
                 raise InvalidInstanceError(f"every n must be >= 1, got {n}")
             _check_report_count(n, lambda: n, f"an instance of {n} agents")
-        # A bad descriptor fails here, before any trial runs.
+        # Building every spec checks B, the deltas and the descriptors.
         for descriptor in self.mechanisms:
             for delta in self.delta_values:
                 _mechanism_spec(descriptor, self.B, delta)
-            _check_descriptor_keys(descriptor)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
@@ -231,34 +229,21 @@ def theoretical_bound(
 def _mechanism_spec(
     descriptor: dict, B: float, delta: float, spacing: float | None = None
 ) -> MechanismSpec:
-    if not isinstance(descriptor, dict) or "kind" not in descriptor:
+    """The spec a config descriptor or the CLI flags ask for.  Only the JSON
+    shape is checked here; ``MechanismSpec`` checks the options."""
+    if not (isinstance(descriptor, dict) and "kind" in descriptor
+            and _DESCRIPTOR_KEYS.issuperset(descriptor)):
         raise InvalidInstanceError(
-            f"mechanism descriptor must be an object with a kind, got {descriptor!r}"
+            "mechanism descriptor must be an object with a kind and at most "
+            f"a location, got {descriptor!r}"
         )
     kind = MechanismKind(descriptor["kind"])
     location = descriptor.get("location")
     if kind is MechanismKind.CONSTANT and location is None:
         location = B / 2.0
-    if isinstance(location, bool) or not isinstance(location, (int, float, type(None))):
-        raise InvalidInstanceError(f"location must be a number, got {location!r}")
     return MechanismSpec(
         kind=kind, B=B, delta=delta, location=location, spacing=spacing
     )
-
-
-def _check_descriptor_keys(descriptor: dict) -> None:
-    """Refuse the descriptor keys no mechanism reads: any key but ``kind``
-    and ``location``, and a ``location`` on a kind other than the constant."""
-    if not _DESCRIPTOR_KEYS.issuperset(descriptor):
-        raise InvalidInstanceError(
-            f"mechanism descriptor {descriptor!r} has unknown keys "
-            f"{sorted(set(descriptor) - _DESCRIPTOR_KEYS)}"
-        )
-    kind = MechanismKind(descriptor["kind"])
-    if descriptor.get("location") is not None and kind is not MechanismKind.CONSTANT:
-        raise InvalidInstanceError(
-            f"location applies only to the constant mechanism, not {kind.value}"
-        )
 
 
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
@@ -354,7 +339,8 @@ def rows_to_csv(rows: Sequence[ExperimentRow], with_oracle: bool = False) -> str
 
 
 def _emit(data, out: str | None) -> None:
-    text = json.dumps(data, indent=2)
+    # NaN and infinities are not JSON: they raise ValueError, exit 2.
+    text = json.dumps(data, indent=2, allow_nan=False)
     if out:
         Path(out).write_text(text + "\n", encoding="utf-8")
     else:
@@ -507,30 +493,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_solve)
 
-    kinds = [k.value for k in MechanismKind]
-    p = sub.add_parser("mechanism", help="run a mechanism on an instance")
-    p.add_argument("--kind", choices=kinds, required=True)
-    p.add_argument("--instance", required=True)
-    p.add_argument("--location", type=float, help="constant mechanism output")
-    p.add_argument("--spacing", type=float,
-                   help="grid spacing for --kind equispaced-median "
-                        "(default delta/2)")
-    p.add_argument("--out")
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument("--kind", choices=[k.value for k in MechanismKind],
+                        required=True)
+    target.add_argument("--instance", required=True)
+    target.add_argument("--location", type=float,
+                        help="output of --kind constant (default B/2)")
+    target.add_argument("--spacing", type=float,
+                        help="grid spacing for --kind equispaced-median "
+                             "(default delta/2; an attack target below it)")
+    target.add_argument("--out")
+
+    p = sub.add_parser("mechanism", parents=[target],
+                       help="run a mechanism on an instance")
     p.set_defaults(func=_cmd_mechanism)
 
-    p = sub.add_parser("audit", help="deviation search for minimax dominance")
-    p.add_argument("--kind", choices=kinds, required=True)
-    p.add_argument("--instance", required=True)
+    p = sub.add_parser("audit", parents=[target],
+                       help="deviation search for minimax dominance")
     p.add_argument("--pitch", type=float)
     p.add_argument("--agent", type=int)
-    p.add_argument("--location", type=float)
-    p.add_argument("--spacing", type=float,
-                   help="grid spacing for --kind equispaced-median "
-                        "(an attack target when below delta/2)")
     p.add_argument("--tolerance", type=float, default=1e-9)
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when a violation is found")
-    p.add_argument("--out")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("attack", help="emit an adversarial instance family")

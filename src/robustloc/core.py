@@ -211,9 +211,10 @@ def validate_instance(
 ) -> Instance:
     """Validate raw (a, b) pairs into an Instance, preserving input order.
 
-    Rejects a non-finite ``B``, an empty profile and any interval with a NaN
-    endpoint, a > b, a < 0, b > B or width above ``delta``; the error
-    message names the offending agent.  Infinite endpoints fail the bounds.
+    Rejects a non-finite ``B``, an empty profile, a ``B`` so large that
+    ``(2n + 4) * B`` overflows, and any interval with a NaN endpoint, a > b,
+    a < 0, b > B or width above ``delta``; the error message names the
+    offending agent.  Infinite endpoints fail the bounds.
 
     Pairs of real numbers, a list of them or an (n, 2) array, are checked
     all at once with array masks, and the per-agent checks then run on the
@@ -226,6 +227,13 @@ def validate_instance(
     n = len(raw_intervals)
     if n == 0:
         raise InvalidInstanceError("empty agent list")
+    # The largest sums the closed forms build are the sweep's crossing
+    # numerator (up to 2nB), the max-cost optimum's four endpoints (4B) and
+    # the snapping rule's a + b (2B); refused here, they cannot overflow.
+    if not math.isfinite((2 * n + 4) * B):
+        raise InvalidInstanceError(
+            f"B={B} is too large for n={n}: (2n + 4) * B overflows a float"
+        )
     # Differences like 0.9 - 0.6 overshoot their decimal value by an ulp, so
     # the bounds are enforced up to representation noise, then pinned back.
     # The noise of a difference of two numbers in [0, B] is an ulp or two of

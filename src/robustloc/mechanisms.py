@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
+from numbers import Real
 from typing import Callable, Sequence
 
 import numpy as np
@@ -78,8 +79,10 @@ class MechanismSpec:
 
     The equispaced kinds require ``delta`` as designer knowledge: their
     guarantees are stated for reports no wider than it.  ``location`` is
-    the constant mechanism's fixed output.  A ``B`` that is not positive
-    and finite, or a ``delta`` outside [0, B], is rejected on construction.
+    the constant mechanism's fixed output.  Construction checks every
+    option: a ``B`` that is not positive and finite, or a ``delta`` outside
+    [0, B], raises ``InvalidInstanceError``; a ``location`` on another kind,
+    or a bool or non-number option, raises ``MechanismError``.
 
     ``spacing`` is allowed for the equispaced median only and replaces its
     ``delta/2`` grid pitch.  With ``spacing = delta/2`` the mechanism
@@ -98,6 +101,10 @@ class MechanismSpec:
 
     def __post_init__(self):
         _check_domain(self.B, self.delta)
+        for name in ("location", "spacing"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (Real, type(None))):
+                raise MechanismError(f"{name} must be a number, got {value!r}")
         if self.kind is MechanismKind.CONSTANT:
             if self.location is None:
                 raise MechanismError("constant mechanism needs a location")
@@ -105,6 +112,11 @@ class MechanismSpec:
                 raise MechanismError(
                     f"constant location {self.location} outside [0, {self.B}]"
                 )
+        elif self.location is not None:
+            raise MechanismError(
+                "location applies only to the constant mechanism, "
+                f"not {self.kind.value}"
+            )
         if self.spacing is not None:
             if self.kind is not MechanismKind.EQUISPACED_MEDIAN:
                 raise MechanismError(

@@ -1,11 +1,19 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+import robustloc.cli as cli_module
 import robustloc.regret as regret_module
-from robustloc import InvalidInstanceError, random_instance, validate_instance
+from robustloc import (
+    InvalidInstanceError,
+    RegretEvaluation,
+    SolveResult,
+    random_instance,
+    validate_instance,
+)
 from robustloc.cli import (
     EXIT_OK,
     EXIT_ORACLE_SCALE,
@@ -273,6 +281,86 @@ class TestCommandLine:
         assert code == EXIT_VALIDATION
         assert "spacing applies only to equispaced-median" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", [
+        "exact-median", "exact-phantom-half",
+        "equispaced-median", "equispaced-phantom-half",
+    ])
+    @pytest.mark.parametrize("command", ["mechanism", "audit"])
+    def test_location_requires_constant(self, command, kind, instance_file, capsys):
+        # The flag is refused, not silently ignored.
+        code = main([command, "--kind", kind, "--instance", instance_file,
+                     "--location", "0.9"])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert not captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0] == (
+            f"error: location applies only to the constant mechanism, not {kind}"
+        )
+
+    @pytest.mark.parametrize("command,expected", [
+        (["mechanism"],
+         '{\n  "mechanism": "constant(0.3)",\n  "p": 0.3,\n'
+         '  "representatives": []\n}\n'),
+        (["audit", "--agent", "1"],
+         '{\n  "mechanism": "constant(0.3)",\n  "reports": [\n    {\n'
+         '      "agent": 1,\n      "truthful_regret": 0.0,\n'
+         '      "best_deviation": [\n        0.0,\n        0.0\n      ],\n'
+         '      "best_deviation_regret": 0.0,\n      "gain": 0.0,\n'
+         '      "violated": false\n    }\n  ]\n}\n'),
+    ], ids=["mechanism", "audit"])
+    def test_constant_location_output(self, command, expected, instance_file, capsys):
+        assert main([*command, "--kind", "constant", "--location", "0.3",
+                     "--instance", instance_file]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("objective", ["avg", "max"])
+    def test_overflowing_instance_refused(self, objective, tmp_path, capsys):
+        # Unrefused, max prints "omv": Infinity, which is not JSON, and avg
+        # p_opt 1.2e308 with omv 0.0 where 1.15e308 and 5e306 are right.
+        path = write_instance(tmp_path / "huge.json", {
+            "B": 1.5e308, "delta": 1e308,
+            "agents": [{"a": 1e308, "b": 1.2e308}, {"a": 1.1e308, "b": 1.3e308}],
+        })
+        code = main(["solve", "--objective", objective, "--instance", path])
+        assert code == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert not captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: B=1.5e+308")
+        assert "n=2" in lines[0]
+
+    def test_gen_and_solve_refuse_B_just_above_the_bound(self, tmp_path, capsys):
+        # The largest B for n = 2: (2n + 4) * B is the largest float.
+        B = sys.float_info.max / 8
+        inst = tmp_path / "inst.json"
+        for b, code in ((B, EXIT_OK), (math.nextafter(B, math.inf), EXIT_VALIDATION)):
+            assert main(["gen", "--n", "2", f"--B={b!r}", f"--delta={0.2 * b!r}",
+                         "--seed", "1", "--out", str(inst)]) == code
+            write_instance(inst, {"B": b, "delta": 0.0,
+                                  "agents": [{"a": 0.0, "b": 0.0}, {"a": b, "b": b}]})
+            assert main(["solve", "--objective", "avg", "--instance", str(inst),
+                         "--out", str(tmp_path / "out.json")]) == code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all("n=2:" in line for line in lines)
+
+    def test_non_finite_output_refused(self, instance_file, tmp_path, monkeypatch,
+                                       capsys):
+        # NaN and infinities are not JSON; none reaches stdout or a file.
+        def infinite(instance):
+            cert = RegretEvaluation(p=0.5, value=math.inf, obj1=math.inf, obj2=0.0)
+            return SolveResult(p_opt=0.5, omv=math.inf, certificate=cert)
+
+        monkeypatch.setattr(cli_module, "solve_minimax_maxcost", infinite)
+        out = tmp_path / "out.json"
+        for extra in ([], ["--out", str(out)]):
+            assert main(["solve", "--objective", "max", "--instance", instance_file,
+                         *extra]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert not captured.out and not out.exists()
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+
     @pytest.mark.parametrize("option", [
         "--pitch", "--oracle-step", "--brute-step", "oracle_step",
     ])
@@ -413,6 +501,26 @@ class TestCommandLine:
         assert main(["experiment", "--config", str(cfg),
                      "--out", str(tmp_path / "out.csv")]) == 0
         assert "constant(0.3)" in (tmp_path / "out.csv").read_text()
+
+    @pytest.mark.parametrize("key", ["n_values", "delta_values", "mechanisms"])
+    def test_empty_config_lists_rejected(self, key, tmp_path, capsys):
+        # An empty list would give a CSV of the header alone; an empty
+        # delta_values would also leave the bad descriptor below unchecked.
+        data = {
+            "seed": 3, "trials": 1, "n_values": [3], "B": 1.0,
+            "delta_values": [0.2], "objective": "avg",
+            "mechanisms": [{"kind": "equispaced-median", "location": 0.3}],
+        }
+        data[key] = []
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"{key} must not be empty" in lines[0]
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("command,data", [
         (["solve", "--objective", "avg"],

@@ -1,4 +1,7 @@
 import math
+import re
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +17,16 @@ from robustloc import (
     MechanismKind,
     MechanismSpec,
     OracleScaleError,
+    avgcost_max_regret,
     build_grid,
+    check_minimax_dominance,
+    maxcost_max_regret,
+    random_instance,
+    run_mechanism,
     select_representative,
     snap,
+    solve_minimax_avgcost,
+    solve_minimax_maxcost,
     sorted_endpoints,
     upper_median,
     validate_instance,
@@ -165,6 +175,77 @@ class TestValidateInstance:
         moved = inst.replace_agent(1, Interval(0.5, 0.6))
         assert moved.lefts == (0.1, 0.5) and moved.rights == (0.2, 0.6)
         assert moved.agents[1] == Interval(0.5, 0.6)
+
+
+def largest_B(n):
+    """The largest B that ``validate_instance`` accepts for n agents."""
+    B = sys.float_info.max / (2 * n + 4)
+    while not math.isfinite((2 * n + 4) * B):
+        B = math.nextafter(B, 0.0)
+    while math.isfinite((2 * n + 4) * math.nextafter(B, math.inf)):
+        B = math.nextafter(B, math.inf)
+    return B
+
+
+class TestOverflowBound:
+    """``(2n + 4) * B`` bounds every sum the closed forms build, so B is
+    refused once that product overflows and accepted, overflow-free, below."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 2000])
+    def test_largest_accepted_B_computes_without_overflow(self, n):
+        B = largest_B(n)
+        half = n // 2
+        profiles = [
+            random_instance(n, B, 0.2 * B, n),
+            # Every endpoint at the top, and a split profile, maximize the
+            # prefix sums and the crossing numerators.
+            validate_instance([(0.8 * B, B)] * n, B=B, delta=0.2 * B),
+            validate_instance([(0.0, 0.2 * B)] * half + [(0.8 * B, B)] * (n - half),
+                              B=B, delta=0.2 * B),
+        ]
+        grid_kinds = (MechanismKind.EQUISPACED_MEDIAN,
+                      MechanismKind.EQUISPACED_PHANTOM_HALF)
+        for inst in profiles:
+            unit = validate_instance(
+                [(a / B, b / B) for a, b in zip(inst.lefts, inst.rights)],
+                B=1.0, delta=0.2,
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                avg, mx = solve_minimax_avgcost(inst), solve_minimax_maxcost(inst)
+                regrets = (avgcost_max_regret(inst, 0.3 * B).value,
+                           maxcost_max_regret(inst, 0.3 * B).value)
+                outcomes = [run_mechanism(MechanismSpec(k, B=B, delta=0.2 * B), inst).p
+                            for k in grid_kinds]
+                report = check_minimax_dominance(
+                    MechanismSpec(grid_kinds[0], B=B, delta=0.2 * B), inst, 0
+                )
+            # The same profile on [0, 1] gives the same answers, scaled.
+            want = [solve_minimax_avgcost(unit), solve_minimax_maxcost(unit)]
+            for got, ref in zip((avg, mx), want):
+                assert got.p_opt / B == pytest.approx(ref.p_opt, abs=1e-9)
+                assert got.omv / B == pytest.approx(ref.omv, abs=1e-9)
+            assert [r / B for r in regrets] == pytest.approx(
+                [avgcost_max_regret(unit, 0.3).value,
+                 maxcost_max_regret(unit, 0.3).value], abs=1e-9)
+            assert [p / B for p in outcomes] == pytest.approx(
+                [run_mechanism(MechanismSpec(k, B=1.0, delta=0.2), unit).p
+                 for k in grid_kinds], abs=1e-9)
+            assert math.isfinite(report.truthful_regret) and not report.violated
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 2000])
+    def test_B_just_above_is_refused(self, n):
+        B = math.nextafter(largest_B(n), math.inf)
+        message = re.escape(f"B={B} is too large for n={n}:")
+        with pytest.raises(InvalidInstanceError, match=message):
+            validate_instance([(0.0, 0.0)] * n, B=B, delta=0.0)
+        with pytest.raises(InvalidInstanceError, match=message):
+            random_instance(n, B, 0.2 * B, 0)
+
+    def test_large_B_with_few_agents_still_accepted(self):
+        for n in range(1, 8):
+            inst = random_instance(n, 1e300, 1e299, n)
+            assert inst.n == n and solve_minimax_avgcost(inst).omv >= 0
 
 
 class TestSortedEndpoints:

@@ -158,6 +158,30 @@ class TestRunMechanism:
         with pytest.raises(MechanismError, match="spacing"):
             MechanismSpec(kind, B=1, delta=0.2, spacing=spacing)
 
+    @pytest.mark.parametrize("kind", [k for k in MechanismKind
+                                      if k is not MechanismKind.CONSTANT],
+                             ids=lambda k: k.value)
+    def test_location_only_on_constant(self, kind):
+        # A location the kind would ignore is refused, naming the kind.
+        with pytest.raises(MechanismError, match=(
+            f"location applies only to the constant mechanism, not {kind.value}$"
+        )):
+            MechanismSpec(kind, B=1, delta=0.2, location=0.3)
+        assert MechanismSpec(kind, B=1, delta=0.2, location=None).location is None
+
+    @pytest.mark.parametrize("option,kind,value", [
+        ("location", MechanismKind.CONSTANT, True),
+        ("location", MechanismKind.CONSTANT, False),
+        ("location", MechanismKind.CONSTANT, "0.3"),
+        ("spacing", EQ_MED, True),
+        ("spacing", EQ_MED, "0.05"),
+    ], ids=["true-location", "false-location", "string-location",
+            "bool-spacing", "string-spacing"])
+    def test_options_must_be_numbers(self, option, kind, value):
+        # A bool compares as 0 or 1, so the range checks alone would take it.
+        with pytest.raises(MechanismError, match=f"{option} must be a number"):
+            MechanismSpec(kind, B=1, delta=0.2, **{option: value})
+
 
 class TestMechanismProperties:
     def test_anonymity(self, rng):
