@@ -159,9 +159,15 @@ class ExperimentConfig:
                 raise InvalidInstanceError(f"every n must be >= 1, got {n}")
             _check_report_count(n, lambda: n, f"an instance of {n} agents")
         # Building every spec checks B, the deltas and the descriptors.
+        # Random reports at delta > 0 are intervals, so a kind that accepts
+        # only exact reports runs at delta 0 only.
         for descriptor in self.mechanisms:
             for delta in self.delta_values:
-                _mechanism_spec(descriptor, self.B, delta)
+                spec = _mechanism_spec(descriptor, self.B, delta)
+                if spec.exact_only and delta > 0:
+                    raise MechanismError(
+                        f"{spec.kind.value} runs at delta 0 only, got delta={delta}"
+                    )
 
     @classmethod
     def from_json(cls, data: dict) -> "ExperimentConfig":
@@ -277,14 +283,8 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                         instance, config.objective, config.oracle_step
                     ).omv
                 for descriptor in config.mechanisms:
-                    try:
-                        spec = _mechanism_spec(descriptor, config.B, delta)
-                        outcome = run_mechanism(spec, instance)
-                    except MechanismError as exc:
-                        raise MechanismError(
-                            f"trial={trial} n={n} delta={delta} "
-                            f"mechanism={descriptor}: {exc}"
-                        ) from exc
+                    spec = _mechanism_spec(descriptor, config.B, delta)
+                    outcome = run_mechanism(spec, instance)
                     max_regret = evaluate(instance, outcome.p).value
                     gap = max_regret - solved.omv
                     bound = theoretical_bound(

@@ -90,7 +90,9 @@ class Instance:
     ``delta`` bounds the width of every report; ``delta = 0`` is the exact
     setting where every agent reports a single point.  Agent ``i`` reports
     ``[lefts[i], rights[i]]``; both are tuples of floats, so instances
-    compare and hash by value.
+    compare and hash by value.  ``validate_instance`` builds checked
+    instances, with every endpoint in [0, B] and no -0.0; an ``Instance``
+    built by hand is taken as given.
     """
 
     B: float
@@ -125,25 +127,10 @@ class Instance:
     @cached_property
     def _sorted_endpoints(self) -> "SortedEndpoints":
         # The memo behind sorted_endpoints(); not a field, so ==, hash and
-        # repr ignore it.  A stable sort keeps equal endpoints (0.0 and
-        # -0.0) in agent order, and cumsum adds left to right.
+        # repr ignore it.
         a, b = self.endpoint_arrays
-        L, R = _read_only(_stable_sort(a)), _read_only(_stable_sort(b))
+        L, R = _read_only(np.sort(a)), _read_only(np.sort(b))
         return SortedEndpoints(L, R, self.n // 2, _prefix_sums(L), _prefix_sums(R))
-
-
-def _stable_sort(values: np.ndarray) -> np.ndarray:
-    """``np.sort(values, kind="stable")`` for floats without NaN, faster.
-
-    Without NaN, equal floats are equal bit for bit except 0.0 and -0.0, so
-    a stable sort differs from numpy's fastest one only in the order of its
-    run of zeros.  The run is restored in input order.
-    """
-    out = np.sort(values)
-    zeros = values[values == 0.0]
-    start = int(np.searchsorted(out, 0.0))
-    out[start : start + len(zeros)] = zeros
-    return out
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -214,7 +201,10 @@ def validate_instance(
     Rejects a non-finite ``B``, an empty profile, a ``B`` so large that
     ``(2n + 4) * B`` overflows, and any interval with a NaN endpoint, a > b,
     a < 0, b > B or width above ``delta``; the error message names the
-    offending agent.  Infinite endpoints fail the bounds.
+    offending agent.  Infinite endpoints fail the bounds.  Accepted
+    endpoints are stored as floats pinned into [0, B], so an endpoint
+    inside the slack beyond an edge becomes that edge, and -0.0 becomes
+    0.0: equal endpoints are equal bit for bit.
 
     Pairs of real numbers, a list of them or an (n, 2) array, are checked
     all at once with array masks, and the per-agent checks then run on the
@@ -255,11 +245,8 @@ def validate_instance(
     for i in np.flatnonzero(bad).tolist():
         _check_agent(i, *raw_intervals[i], B, delta, slack)
     # Both endpoints are pinned into [0, B], so an end inside the slack
-    # beyond the domain cannot leave a > b.  Pinned with comparisons, not
-    # np.maximum/np.minimum: an endpoint of -0.0 is not below 0 and keeps
-    # its sign.
-    a = np.where(a < 0, 0.0, np.where(a > B, float(B), a))
-    b = np.where(b < 0, 0.0, np.where(b > B, float(B), b))
+    # beyond the domain cannot leave a > b; adding 0.0 turns -0.0 into 0.0.
+    a, b = np.clip(a, 0.0, float(B)) + 0.0, np.clip(b, 0.0, float(B)) + 0.0
     instance = Instance(float(B), float(delta), tuple(a.tolist()), tuple(b.tolist()))
     # The checked arrays hold the tuples' floats bit for bit: they are the
     # instance's array form, so it is not rebuilt from the tuples.
@@ -295,8 +282,8 @@ def _check_agent(
 
 
 def sorted_endpoints(instance: Instance) -> SortedEndpoints:
-    """Sort left and right endpoints independently (stable in agent order),
-    once: later calls on the same instance return the same view."""
+    """Sort left and right endpoints independently, once: later calls on
+    the same instance return the same view."""
     return instance._sorted_endpoints
 
 

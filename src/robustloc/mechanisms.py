@@ -36,7 +36,6 @@ from .core import (
     _check_domain,
     _snap_index,
     _snap_indices,
-    _stable_sort,
     merged_upper_median,
 )
 
@@ -300,7 +299,7 @@ def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     Without one the left endpoints stand in: ``check`` has made every
     report exact for the exact rule, and the constant ignores its reports,
     so no ``Interval`` is built.  The aggregator gets the others'
-    representatives as a stably sorted array, the order ``sorted`` gives.
+    representatives as a sorted array.
     The chosen point and the representatives are floats.  Exact kinds and
     the constant report no representatives and no grid.
     """
@@ -312,7 +311,7 @@ def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     else:
         reps = _grid_representatives(lefts, rights, grid, spec.spacing is not None)
     # Any one representative can play the report that joins the others.
-    p = float(aggregate(_stable_sort(reps[1:]), reps[0]))
+    p = float(aggregate(np.sort(reps[1:]), reps[0]))
     return MechanismOutcome(
         p=p,
         representatives=tuple(reps.tolist()) if spec.kind in _GRID_KINDS else (),

@@ -74,7 +74,7 @@ def breakpoint_state(instance: Instance) -> BreakpointState:
     inner = np.concatenate((se.R[: k + 1], se.L[k:]))
     inner = np.unique(inner[(lo < inner) & (inner < hi)])
     # The ends bound every inner candidate, so they are placed, not sorted
-    # in.  When they are equal (0.0 and -0.0 are) the left one is kept.
+    # in.
     H = np.concatenate(([lo], inner, [hi])) if lo < hi else np.array([lo])
     j0 = np.searchsorted(se.R[:k], H, side="left")
     h0 = (k + 1) + np.searchsorted(se.L[k + 1 :], H, side="right")
@@ -149,10 +149,7 @@ def grid_search_minimax(
     m = _lattice_steps(instance.B, step)
     lattice = np.arange(m + 1) * step
     points = np.unique(np.concatenate((lattice, [instance.B], se.L, se.R)))
-    # The lattice's first point is 0.0, so the sweep's zero is 0.0; adding
-    # 0.0 turns a -0.0 that np.unique kept instead into it, and changes no
-    # other point.
-    points = points[(0.0 <= points) & (points <= instance.B)] + 0.0
+    points = points[(0.0 <= points) & (points <= instance.B)]
     if objective is Objective.AVG_COST:
         return _first_minimum(points, _AvgCostEvaluator(se))
     return _first_minimum(points, _MaxCostEvaluator(se))

@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import robustloc
 import robustloc.cli as cli_module
 import robustloc.regret as regret_module
 from robustloc import (
@@ -194,6 +198,38 @@ class TestRunExperiment:
             MechanismKind.EQUISPACED_MEDIAN, Objective.MAX_COST, 1.0, 0.2
         ) is None
 
+    @pytest.mark.parametrize("kind,avg,mc", [
+        ("constant", 0.5, 0.5),
+        ("exact-median", 0.0, None),
+        ("exact-phantom-half", None, 0.25),
+        ("equispaced-median", 3 * 0.2 / 4, None),
+        ("equispaced-phantom-half", None, 1 / 4 + 3 * 0.2 / 8),
+    ])
+    def test_theoretical_bound_table(self, kind, avg, mc):
+        from robustloc.cli import theoretical_bound
+        from robustloc import MechanismKind, Objective
+
+        kind = MechanismKind(kind)
+        assert theoretical_bound(kind, Objective.AVG_COST, 1.0, 0.2) == avg
+        assert theoretical_bound(kind, Objective.MAX_COST, 1.0, 0.2) == mc
+        # The phantom-half grid guarantee is stated for delta <= 2B/3 only.
+        beyond = theoretical_bound(kind, Objective.MAX_COST, 1.0, 0.7)
+        grid_half = kind is MechanismKind.EQUISPACED_PHANTOM_HALF
+        assert beyond == (None if grid_half else mc)
+
+    @pytest.mark.parametrize("objective,bounds", [
+        ("avg", {"exact-median": 0.0, "exact-phantom-half": None}),
+        ("max", {"exact-median": None, "exact-phantom-half": 0.25}),
+    ])
+    def test_exact_kinds_at_delta_zero(self, objective, bounds):
+        rows = run_experiment(self.config(
+            objective=objective, delta_values=(0.0,),
+            mechanisms=({"kind": "exact-median"}, {"kind": "exact-phantom-half"}),
+        ))
+        assert len(rows) == 2 * 2 * 2
+        for row in rows:
+            assert row.bound == bounds[row.mechanism] and row.within_bound
+
     def test_trials_zero_rejected(self):
         with pytest.raises(Exception):
             self.config(trials=0)
@@ -233,6 +269,22 @@ class TestCommandLine:
         assert 0 <= mech["p"] <= 1
         assert main(["audit", "--kind", "equispaced-median", "--instance",
                      str(out), "--pitch", "0.01", "--strict"]) == EXIT_OK
+
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        # __main__.py is the entry point of `python -m robustloc`.
+        src = str(Path(robustloc.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        argv = ["gen", "--n", "3", "--B", "1", "--delta", "0.2", "--seed", "7"]
+        run = [sys.executable, "-m", "robustloc"]
+        done = subprocess.run(run + argv, capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert main(argv) == EXIT_OK
+        assert done.returncode == EXIT_OK
+        assert done.stdout == capsys.readouterr().out
+        bad = subprocess.run(run + ["gen", "--bogus"], capture_output=True,
+                             text=True, env=env, timeout=120)
+        assert bad.returncode == EXIT_VALIDATION and bad.stdout == ""
 
     def test_solve_maxcost(self, instance_file, capsys):
         assert main(["solve", "--objective", "max",
@@ -487,6 +539,26 @@ class TestCommandLine:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert named in lines[0]
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("kind", ["exact-median", "exact-phantom-half"])
+    def test_exact_kind_above_delta_zero_rejected(self, kind, tmp_path, capsys):
+        # Random reports at delta > 0 are intervals, which exact kinds
+        # refuse: the config is refused before its delta-0 cells run.
+        data = {
+            "seed": 3, "trials": 1, "n_values": [3], "B": 1.0,
+            "delta_values": [0.0, 0.1], "objective": "avg",
+            "mechanisms": [{"kind": kind}],
+        }
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "out.csv")])
+        assert code == EXIT_VALIDATION
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert f"{kind} runs at delta 0 only, got delta=0.1" in lines[0]
+        assert "trial=" not in lines[0]
         assert not (tmp_path / "out.csv").exists()
 
     def test_known_keys_still_accepted(self, tmp_path):

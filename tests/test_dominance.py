@@ -12,6 +12,7 @@ from robustloc import (
     InvalidInstanceError,
     OracleScaleError,
     GridAttackTarget,
+    Instance,
     Interval,
     MechanismKind,
     MechanismSpec,
@@ -160,6 +161,13 @@ class TestMinimaxDominanceAudit:
         inst = validate_instance([(0.1, 0.2)], B=1, delta=0.2)
         with pytest.raises(ValueError):
             check_minimax_dominance(spec(EQ_MED), inst, agent=3)
+
+    def test_rejects_own_report_off_the_deviation_grid(self):
+        # A hand-built instance is taken as given; its report beyond B is
+        # not among the audit's candidate endpoints.
+        inst = Instance(1.0, 0.1, (1.5,), (1.5,))
+        with pytest.raises(ValueError, match="does not contain the agent's own"):
+            check_minimax_dominance(spec(EQ_MED, delta=0.1), inst, agent=0)
 
     def test_fallback_mode_agrees_with_shortcut(self):
         inst = validate_instance([(0.12, 0.28), (0.63, 0.77)], B=1, delta=0.2)
@@ -543,6 +551,12 @@ class TestFiniteRangeAttack:
             )
 
 
+    def test_rejects_unknown_case(self):
+        with pytest.raises(ValueError, match="case must be 'one' or 'two'"):
+            gen_finite_range_attack(
+                (0.0, 0.1, 0.2, 0.3), 0.02, 5, "three", B=1.0, delta=0.2
+            )
+
 class TestOntoAttack:
     def test_example_profiles(self):
         script = gen_onto_attack(0.2, 0.3, 0.38, 0.02, 4, B=1.0, delta=0.1)
@@ -590,6 +604,15 @@ class TestFineGridAttack:
         with pytest.raises(ValueError, match="too fine"):
             gen_fine_grid_attack(B=1e300, delta=1e300, spacing=1e-300, n=3)
 
+
+    @pytest.mark.parametrize("B,delta,spacing,message", [
+        (1.0, 1.0, 0.2, "domain too short for the construction"),
+        (1.0, 0.20005, 0.1, "width bound too tight for a four-point cover"),
+        (1.0, 0.5, 0.16, "domain too short for the pinning agents"),
+    ], ids=["construction", "four-point-cover", "pinning-agents"])
+    def test_rejects_shapes_it_cannot_build(self, B, delta, spacing, message):
+        with pytest.raises(ValueError, match=message):
+            gen_fine_grid_attack(B=B, delta=delta, spacing=spacing, n=3)
 
 class TestGeneratedInstancesValidate:
     def test_all_families(self):

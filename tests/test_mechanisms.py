@@ -137,6 +137,21 @@ class TestRunMechanism:
         with pytest.raises(MechanismError):
             MechanismSpec(MechanismKind.CONSTANT, B=1, delta=0.2, location=1.5)
 
+    def test_constant_requires_a_location(self):
+        with pytest.raises(MechanismError, match="constant mechanism needs a location"):
+            MechanismSpec(MechanismKind.CONSTANT, B=1, delta=0.1)
+
+    @pytest.mark.parametrize("kind", [MechanismKind.EXACT_MEDIAN,
+                                      MechanismKind.EXACT_PHANTOM_HALF, EQ_MED],
+                             ids=lambda k: k.value)
+    def test_exact_rule_rejects_an_interval(self, kind):
+        # The rule resolve() hands out at delta = 0, applied one report at
+        # a time as an audit does.
+        _, represent, _ = MechanismSpec(kind, B=1, delta=0.0).resolve()
+        assert represent(Interval(0.3, 0.3)) == 0.3
+        with pytest.raises(MechanismError, match="got an interval report"):
+            represent(Interval(0.1, 0.2))
+
     @pytest.mark.parametrize("B,delta", [
         (math.inf, 0.2), (math.nan, 0.2), (0.0, 0.0), (-1.0, 0.0),
         (1.0, -0.1), (1.0, 1.5), (1.0, math.nan), (1.0, math.inf),
@@ -379,14 +394,17 @@ class TestRunMechanismParity:
         EQ_PH,
     ])
     def test_signed_zero_reports(self, kind, rng):
-        seen_negative = False
+        # Validation reads -0.0 as 0.0, so no outcome or representative is
+        # -0.0, though the median kinds do pick a zero report.
+        seen_zero = False
         for inst in signed_zero_profiles(rng):
             self.check(spec(kind, delta=0.0), inst)
             out = run_mechanism(spec(kind, delta=0.0), inst)
-            seen_negative |= math.copysign(1.0, out.p) < 0
-        # The median kinds do pick a -0.0 report; the phantom rule may too.
+            for value in (out.p,) + out.representatives:
+                assert math.copysign(1.0, value) == 1.0
+            seen_zero |= out.p == 0.0
         if kind in (MechanismKind.EXACT_MEDIAN, EQ_MED):
-            assert seen_negative
+            assert seen_zero
 
     def test_grid_kinds_with_zero_endpoints(self, rng):
         for _ in range(100):

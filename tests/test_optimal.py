@@ -190,12 +190,22 @@ class TestScalarParity:
                 got = grid_search_minimax(inst, objective, step=0.01)
                 assert bits(got) == bits(scalar_grid_search(inst, objective, 0.01))
 
-    def test_signed_zero_survives_as_the_scalar_keeps_it(self):
-        inst = validate_instance([(-0.0, 0.0)], B=1.0, delta=0.0)
-        assert math.copysign(1.0, solve_minimax_avgcost(inst).p_opt) == -1.0
-        # The lattice's 0.0 is the grid search's zero, whatever the endpoints.
-        swept = grid_search_minimax(inst, AVG, step=0.25)
-        assert math.copysign(1.0, swept.p_opt) == 1.0
+    def test_no_negative_zero_comes_out(self):
+        # Validation reads -0.0 as 0.0, so neither the sorted view nor any
+        # solver's point or certificate holds a -0.0.
+        for raw, delta in (([(-0.0, 0.0)], 0.0), ([(-0.0, -0.0)], 0.0),
+                           ([(0.0, 0.0), (-0.0, -0.0)], 0.0),
+                           ([(-0.0, 0.0), (0.0, -0.0), (-0.0, 0.2)], 0.2)):
+            inst = validate_instance(raw, B=1.0, delta=delta)
+            se = sorted_endpoints(inst)
+            values = se.L.tolist() + se.R.tolist()
+            for result in (solve_minimax_avgcost(inst), solve_minimax_maxcost(inst),
+                           grid_search_minimax(inst, AVG, step=0.25),
+                           grid_search_minimax(inst, MC, step=0.25)):
+                cert = result.certificate
+                values += [result.p_opt, result.omv, cert.p, cert.obj1, cert.obj2]
+            assert 0.0 in values
+            assert all(math.copysign(1.0, v) == 1.0 for v in values)
 
     @pytest.mark.parametrize("objective,evaluate", [
         (AVG, avgcost_max_regret), (MC, maxcost_max_regret),
