@@ -95,7 +95,10 @@ def instance_to_json(instance: Instance) -> dict:
     return {
         "B": instance.B,
         "delta": instance.delta,
-        "agents": [{"a": a, "b": b} for a, b in zip(instance.lefts, instance.rights)],
+        "agents": [
+            {"a": a, "b": b}
+            for a, b in zip(instance.lefts.tolist(), instance.rights.tolist())
+        ],
     }
 
 
@@ -212,12 +215,16 @@ class ExperimentRow:
     oracle_omv: float | None = None
 
 
-def theoretical_bound(
-    kind: MechanismKind, objective: Objective, B: float, delta: float
-) -> float | None:
-    """Additive guarantee for the mechanism under the objective, if proven."""
+def theoretical_bound(spec: MechanismSpec, objective: Objective) -> float | None:
+    """Additive guarantee for the mechanism under the objective, if proven.
+
+    A constant at c has regret at most |c - median| (average cost) or
+    |c - midrange| (max cost) against any realization, and both reach
+    ``max(c, B - c)`` when every agent sits at 0 or every agent at B.
+    """
+    kind, B, delta = spec.kind, spec.B, spec.delta
     if kind is MechanismKind.CONSTANT:
-        return B / 2.0
+        return max(spec.location, B - spec.location)
     if objective is Objective.AVG_COST:
         if kind is MechanismKind.EQUISPACED_MEDIAN:
             return 3.0 * delta / 4.0
@@ -287,9 +294,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                     outcome = run_mechanism(spec, instance)
                     max_regret = evaluate(instance, outcome.p).value
                     gap = max_regret - solved.omv
-                    bound = theoretical_bound(
-                        spec.kind, config.objective, config.B, delta
-                    )
+                    bound = theoretical_bound(spec, config.objective)
                     within = bound is None or gap <= bound + _BOUND_TOL
                     rows.append(
                         ExperimentRow(

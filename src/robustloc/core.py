@@ -5,20 +5,19 @@ points; every report is at most ``delta`` wide.  This module holds the
 validated instance model, the sorted endpoint view that every regret
 formula consumes, the equispaced grids used by the snapping mechanisms,
 and the shared upper-median convention.  An instance stores its left and
-right endpoints as two tuples of floats; validation checks them with
-numpy masks and keeps the checked arrays as the instance's array form,
-which the solver and the mechanisms read.  The per-agent ``Interval``
-objects are built only when ``agents`` is first read.  Grids exist for
-``delta > 0`` only: at ``delta = 0`` every report is a point and
+right endpoints as two read-only float64 arrays; validation checks them
+with numpy masks and hands the checked arrays to the instance, and the
+solver, the mechanisms and the CLI read those arrays.  The per-agent
+``Interval`` objects are built only when ``agents`` is first read.  Grids
+exist for ``delta > 0`` only: at ``delta = 0`` every report is a point and
 represents itself, so there is no grid to snap to.
 
 All types are immutable and all operations are pure functions, so
 everything here can be used concurrently without synchronization.  The
-caches, the array form, the sorted endpoint view and the ``agents``
-tuple, are built on first use and memoized on their frozen instance;
-they are immutable too (their arrays are read-only), so sharing them is
-safe (two threads racing on the first read at worst both build equal
-values).
+caches, the sorted endpoint view and the ``agents`` tuple, are built on
+first use and memoized on their frozen instance; they are immutable too
+(their arrays are read-only), so sharing them is safe (two threads racing
+on the first read at worst both build equal values).
 """
 
 from __future__ import annotations
@@ -83,22 +82,45 @@ class Interval:
         return self.a <= x <= self.b
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Instance:
     """A validated profile of interval reports on [0, B].
 
     ``delta`` bounds the width of every report; ``delta = 0`` is the exact
     setting where every agent reports a single point.  Agent ``i`` reports
-    ``[lefts[i], rights[i]]``; both are tuples of floats, so instances
-    compare and hash by value.  ``validate_instance`` builds checked
-    instances, with every endpoint in [0, B] and no -0.0; an ``Instance``
-    built by hand is taken as given.
+    ``[lefts[i], rights[i]]``; both are read-only float64 arrays, copied
+    once from whatever sequences the constructor is given, so no caller's
+    array is aliased.  Instances compare and hash by value: ``B``,
+    ``delta`` and the two arrays bit for bit.  ``validate_instance`` builds
+    checked instances, with every endpoint in [0, B] and no -0.0; an
+    ``Instance`` built by hand is taken as given.
     """
 
     B: float
     delta: float
-    lefts: tuple[float, ...]
-    rights: tuple[float, ...]
+    lefts: np.ndarray
+    rights: np.ndarray
+
+    def __post_init__(self):
+        for name in ("lefts", "rights"):
+            values = np.array(getattr(self, name), dtype=np.float64)
+            object.__setattr__(self, name, _read_only(values))
+
+    def _key(self) -> tuple:
+        return self.B, self.delta, self.lefts.tobytes(), self.rights.tobytes()
+
+    def __eq__(self, other):
+        if not isinstance(other, Instance):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        # Copies and unpickled instances go through the constructor too, so
+        # their arrays are read-only.
+        return Instance, (self.B, self.delta, self.lefts, self.rights)
 
     @property
     def n(self) -> int:
@@ -106,30 +128,20 @@ class Instance:
 
     @cached_property
     def agents(self) -> tuple[Interval, ...]:
-        """The reports as intervals, built on first read; not a field, so
-        ==, hash and repr ignore it."""
-        return tuple(map(Interval, self.lefts, self.rights))
+        """The reports as intervals of Python floats, built on first read;
+        not a field, so ==, hash and repr ignore it."""
+        return tuple(map(Interval, self.lefts.tolist(), self.rights.tolist()))
 
     def replace_agent(self, index: int, interval: Interval) -> "Instance":
-        lefts, rights = list(self.lefts), list(self.rights)
+        lefts, rights = self.lefts.copy(), self.rights.copy()
         lefts[index], rights[index] = interval.a, interval.b
-        return Instance(self.B, self.delta, tuple(lefts), tuple(rights))
-
-    @cached_property
-    def endpoint_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """``lefts`` and ``rights`` as read-only float64 arrays, built once.
-
-        Not a field, so ==, hash and repr ignore it; ``validate_instance``
-        fills it with the arrays it checked.
-        """
-        return _read_only(np.array(self.lefts)), _read_only(np.array(self.rights))
+        return Instance(self.B, self.delta, lefts, rights)
 
     @cached_property
     def _sorted_endpoints(self) -> "SortedEndpoints":
         # The memo behind sorted_endpoints(); not a field, so ==, hash and
         # repr ignore it.
-        a, b = self.endpoint_arrays
-        L, R = _read_only(np.sort(a)), _read_only(np.sort(b))
+        L, R = _read_only(np.sort(self.lefts)), _read_only(np.sort(self.rights))
         return SortedEndpoints(L, R, self.n // 2, _prefix_sums(L), _prefix_sums(R))
 
 
@@ -247,11 +259,7 @@ def validate_instance(
     # Both endpoints are pinned into [0, B], so an end inside the slack
     # beyond the domain cannot leave a > b; adding 0.0 turns -0.0 into 0.0.
     a, b = np.clip(a, 0.0, float(B)) + 0.0, np.clip(b, 0.0, float(B)) + 0.0
-    instance = Instance(float(B), float(delta), tuple(a.tolist()), tuple(b.tolist()))
-    # The checked arrays hold the tuples' floats bit for bit: they are the
-    # instance's array form, so it is not rebuilt from the tuples.
-    instance.__dict__["endpoint_arrays"] = _read_only(a), _read_only(b)
-    return instance
+    return Instance(float(B), float(delta), a, b)
 
 
 def _check_agent(

@@ -20,9 +20,11 @@ delta, on the deviation grid or off it, has one of those representatives.
 So on a grid kind or the constant, ``best_deviation_regret`` and
 ``violated`` hold over the whole continuum of reports for that profile;
 only ``best_deviation``, the lexicographically first minimizer, depends on
-the deviation grid.  The exact kinds, whose reports represent themselves,
-are checked on the grid only: there a clean report certifies no violation
-on the tested grid, not dominance over the continuum.
+the deviation grid.  The verdict of an exact kind holds over the continuum
+too: it audits a point report, so the truthful outcome is the one at both
+of the agent's endpoints and the truthful regret is 0, the least value
+``agent_max_regret`` takes.  No report, on the grid or off it, beats the
+truth, and the scan stops at the first deviation of regret 0.
 
 The agent's worst-case regret minimizes over her own alternative behaviour,
 including randomized behaviour; since her cost is linear in the mixing
@@ -219,10 +221,11 @@ def _first_minimum(
 ) -> DominanceReport:
     """Scan deviations in order, keeping the first one of least cost.
 
-    ``cost`` scores an outcome; each representative is scored once.  The
-    scan stops at the first deviation reaching the least score over the
-    reachable representatives (see the module docstring), the one a full
-    scan keeps.  Exact kinds, which have none, are scanned to the end.
+    ``cost`` scores an outcome, never below 0; each representative is
+    scored once.  The scan stops at the first deviation reaching the least
+    score over the reachable representatives, or 0 for the exact kinds,
+    which have none (see the module docstring): no deviation scores less,
+    so the report is the one a full scan keeps.
 
     A ``tolerance`` that is not non-negative and finite is a ``ValueError``.
     """
@@ -237,7 +240,7 @@ def _first_minimum(
             scores[rep] = cost(oracle.outcome_of(rep))
         return scores[rep]
 
-    floor = min(map(score, oracle.reachable), default=-math.inf)
+    floor = min(map(score, oracle.reachable), default=0.0)
     truthful_cost = score(oracle.represent(truthful))
     best_dev = None
     best_cost = math.inf

@@ -12,8 +12,8 @@ representing itself, and so are exactly their classical counterparts.
 ``select_representative`` maps one report to its grid point; the audit,
 which varies one report at a time, uses it.  ``run_mechanism`` snaps a
 whole profile at once with the same rule in array form, which is tested
-against the one-report rule, from the instance's endpoint arrays, and
-hands the aggregator the representatives sorted as an array.
+against the one-report rule, from the instance's ``lefts`` and ``rights``
+arrays, and hands the aggregator the representatives sorted as an array.
 """
 
 from __future__ import annotations
@@ -78,10 +78,12 @@ class MechanismSpec:
 
     The equispaced kinds require ``delta`` as designer knowledge: their
     guarantees are stated for reports no wider than it.  ``location`` is
-    the constant mechanism's fixed output.  Construction checks every
-    option: a ``B`` that is not positive and finite, or a ``delta`` outside
-    [0, B], raises ``InvalidInstanceError``; a ``location`` on another kind,
-    or a bool or non-number option, raises ``MechanismError``.
+    the constant mechanism's fixed output, stored as a float, with -0.0
+    read as 0.0 as ``validate_instance`` reads endpoints.  Construction
+    checks every option: a ``B`` that is not positive and finite, or a
+    ``delta`` outside [0, B], raises ``InvalidInstanceError``; a
+    ``location`` on another kind, or a bool or non-number option, raises
+    ``MechanismError``.
 
     ``spacing`` is allowed for the equispaced median only and replaces its
     ``delta/2`` grid pitch.  With ``spacing = delta/2`` the mechanism
@@ -111,6 +113,7 @@ class MechanismSpec:
                 raise MechanismError(
                     f"constant location {self.location} outside [0, {self.B}]"
                 )
+            object.__setattr__(self, "location", self.location + 0.0)
         elif self.location is not None:
             raise MechanismError(
                 "location applies only to the constant mechanism, "
@@ -154,8 +157,7 @@ class MechanismSpec:
                 f"instance bound B={instance.B} differs from mechanism B={self.B}"
             )
         if self.exact_only:
-            lefts, rights = instance.endpoint_arrays
-            interval = lefts != rights
+            interval = instance.lefts != instance.rights
             if interval.any():
                 raise MechanismError(
                     f"{self.kind.value} accepts only exact reports; "
@@ -295,7 +297,8 @@ def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     """Apply a mechanism to a profile of reports: check, represent, aggregate.
 
     On a grid the whole profile is snapped at once, from the instance's
-    endpoint arrays, by the array form of ``select_representative``.
+    ``lefts`` and ``rights`` arrays, by the array form of
+    ``select_representative``.
     Without one the left endpoints stand in: ``check`` has made every
     report exact for the exact rule, and the constant ignores its reports,
     so no ``Interval`` is built.  The aggregator gets the others'
@@ -305,11 +308,12 @@ def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     """
     spec.check(instance)
     grid, _, aggregate = spec.resolve()
-    lefts, rights = instance.endpoint_arrays
     if grid is None:
-        reps = lefts
+        reps = instance.lefts
     else:
-        reps = _grid_representatives(lefts, rights, grid, spec.spacing is not None)
+        reps = _grid_representatives(
+            instance.lefts, instance.rights, grid, spec.spacing is not None
+        )
     # Any one representative can play the report that joins the others.
     p = float(aggregate(np.sort(reps[1:]), reps[0]))
     return MechanismOutcome(

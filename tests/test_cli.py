@@ -189,13 +189,15 @@ class TestRunExperiment:
 
     def test_no_proven_bound_outside_hypothesis(self):
         from robustloc.cli import theoretical_bound
-        from robustloc import MechanismKind, Objective
+        from robustloc import MechanismKind, MechanismSpec, Objective
 
         assert theoretical_bound(
-            MechanismKind.EQUISPACED_PHANTOM_HALF, Objective.MAX_COST, 1.0, 0.8
+            MechanismSpec(MechanismKind.EQUISPACED_PHANTOM_HALF, 1.0, 0.8),
+            Objective.MAX_COST,
         ) is None
         assert theoretical_bound(
-            MechanismKind.EQUISPACED_MEDIAN, Objective.MAX_COST, 1.0, 0.2
+            MechanismSpec(MechanismKind.EQUISPACED_MEDIAN, 1.0, 0.2),
+            Objective.MAX_COST,
         ) is None
 
     @pytest.mark.parametrize("kind,avg,mc", [
@@ -207,15 +209,34 @@ class TestRunExperiment:
     ])
     def test_theoretical_bound_table(self, kind, avg, mc):
         from robustloc.cli import theoretical_bound
-        from robustloc import MechanismKind, Objective
+        from robustloc import MechanismKind, MechanismSpec, Objective
 
         kind = MechanismKind(kind)
-        assert theoretical_bound(kind, Objective.AVG_COST, 1.0, 0.2) == avg
-        assert theoretical_bound(kind, Objective.MAX_COST, 1.0, 0.2) == mc
+        location = 0.5 if kind is MechanismKind.CONSTANT else None
+
+        def bound(objective, delta):
+            spec = MechanismSpec(kind, 1.0, delta, location=location)
+            return theoretical_bound(spec, objective)
+
+        assert bound(Objective.AVG_COST, 0.2) == avg
+        assert bound(Objective.MAX_COST, 0.2) == mc
         # The phantom-half grid guarantee is stated for delta <= 2B/3 only.
-        beyond = theoretical_bound(kind, Objective.MAX_COST, 1.0, 0.7)
+        beyond = bound(Objective.MAX_COST, 0.7)
         grid_half = kind is MechanismKind.EQUISPACED_PHANTOM_HALF
         assert beyond == (None if grid_half else mc)
+
+    @pytest.mark.parametrize("objective", ["avg", "max"])
+    def test_constant_anywhere_within_its_bound(self, objective):
+        # A constant at c is within max(c, B - c) of the optimum, not B/2.
+        locations = (0.0, 0.1, 0.9, 1.0)
+        rows = run_experiment(self.config(
+            trials=20, objective=objective,
+            mechanisms=tuple({"kind": "constant", "location": c} for c in locations),
+        ))
+        assert len(rows) == 20 * 2 * 2 * len(locations)
+        for row in rows:
+            assert row.bound == max(row.p, 1.0 - row.p)
+            assert row.within_bound, row
 
     @pytest.mark.parametrize("objective,bounds", [
         ("avg", {"exact-median": 0.0, "exact-phantom-half": None}),
@@ -350,19 +371,25 @@ class TestCommandLine:
             f"error: location applies only to the constant mechanism, not {kind}"
         )
 
-    @pytest.mark.parametrize("command,expected", [
-        (["mechanism"],
+    @pytest.mark.parametrize("location,command,expected", [
+        ("0.3", ["mechanism"],
          '{\n  "mechanism": "constant(0.3)",\n  "p": 0.3,\n'
          '  "representatives": []\n}\n'),
-        (["audit", "--agent", "1"],
+        ("0.3", ["audit", "--agent", "1"],
          '{\n  "mechanism": "constant(0.3)",\n  "reports": [\n    {\n'
          '      "agent": 1,\n      "truthful_regret": 0.0,\n'
          '      "best_deviation": [\n        0.0,\n        0.0\n      ],\n'
          '      "best_deviation_regret": 0.0,\n      "gain": 0.0,\n'
          '      "violated": false\n    }\n  ]\n}\n'),
-    ], ids=["mechanism", "audit"])
-    def test_constant_location_output(self, command, expected, instance_file, capsys):
-        assert main([*command, "--kind", "constant", "--location", "0.3",
+        # -0.0 reads as 0.0, as an endpoint does.
+        ("-0.0", ["mechanism"],
+         '{\n  "mechanism": "constant(0)",\n  "p": 0.0,\n'
+         '  "representatives": []\n}\n'),
+    ], ids=["mechanism", "audit", "mechanism-negative-zero"])
+    def test_constant_location_output(
+        self, location, command, expected, instance_file, capsys
+    ):
+        assert main([*command, "--kind", "constant", "--location", location,
                      "--instance", instance_file]) == EXIT_OK
         assert capsys.readouterr().out == expected
 

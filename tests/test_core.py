@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 import sys
 import warnings
@@ -34,6 +36,12 @@ from robustloc import (
     validate_instance,
 )
 from robustloc.core import _build_spaced_grid, merged_upper_median
+
+
+def assert_read_only_float64(inst):
+    for values in (inst.lefts, inst.rights):
+        assert type(values) is np.ndarray and values.dtype == np.float64
+        assert not values.flags.writeable
 
 
 class TestValidateInstance:
@@ -119,12 +127,11 @@ class TestValidateInstance:
         # -0.0 is pinned like an endpoint inside the slack below 0.
         inst = validate_instance([(-0.0, 0.1), (0.0, -0.0), (-1e-13, 0.2)],
                                  B=1, delta=0.2)
-        lefts, rights = inst.endpoint_arrays
-        ends = (list(inst.lefts) + list(inst.rights)
-                + [e for iv in inst.agents for e in (iv.a, iv.b)]
-                + lefts.tolist() + rights.tolist())
+        assert_read_only_float64(inst)
+        ends = (inst.lefts.tolist() + inst.rights.tolist()
+                + [e for iv in inst.agents for e in (iv.a, iv.b)])
         zeros = [e for e in ends if e == 0.0]
-        assert len(zeros) == 12
+        assert len(zeros) == 8
         assert all(math.copysign(1.0, e) == 1.0 for e in zeros)
 
     def test_non_float_reals_are_stored_as_floats(self):
@@ -133,17 +140,18 @@ class TestValidateInstance:
         raw = [(Fraction(1, 10), Fraction(3, 10)), (Decimal("0.5"), Decimal("0.6")),
                (Fraction(0), -0.0), (-0.0, Fraction(1, 5))]
         inst = validate_instance(raw, B=1, delta=0.2)
-        assert inst.lefts == (0.1, 0.5, 0.0, 0.0)
-        assert inst.rights == (0.3, 0.6, 0.0, 0.2)
-        lefts, rights = inst.endpoint_arrays
-        for values in (inst.lefts + inst.rights, lefts.tolist() + rights.tolist()):
+        assert_read_only_float64(inst)
+        assert inst.lefts.tolist() == [0.1, 0.5, 0.0, 0.0]
+        assert inst.rights.tolist() == [0.3, 0.6, 0.0, 0.2]
+        ends = [e for iv in inst.agents for e in (iv.a, iv.b)]
+        for values in (inst.lefts.tolist() + inst.rights.tolist(), ends):
             assert all(type(v) is float for v in values)
             assert all(math.copysign(1.0, v) == 1.0 for v in values)
 
     def test_endpoints_pinned_into_domain(self):
         inst = validate_instance([(-1e-13, 0.1), (0.9, 1.0 + 1e-13)], B=1, delta=0.2)
-        assert inst.lefts == (0.0, 0.9) and inst.rights == (0.1, 1.0)
-        assert all(type(x) is float for x in inst.lefts + inst.rights)
+        assert_read_only_float64(inst)
+        assert inst.lefts.tolist() == [0.0, 0.9] and inst.rights.tolist() == [0.1, 1.0]
 
     @pytest.mark.parametrize("end", [-5e-13, 1.0 + 5e-13])
     def test_report_inside_the_slack_stays_an_interval(self, end):
@@ -169,18 +177,23 @@ class TestValidateInstance:
     def test_slack_absorbs_representation_noise_at_large_B(self):
         # 9999.7 - 9999.4 exceeds 0.3 by about an ulp of 1e4.
         inst = validate_instance([(9999.4, 9999.7), (0.0, 0.3)], B=1e4, delta=0.3)
-        assert inst.lefts == (9999.4, 0.0) and inst.rights == (9999.7, 0.3)
+        assert_read_only_float64(inst)
+        assert inst.lefts.tolist() == [9999.4, 0.0]
+        assert inst.rights.tolist() == [9999.7, 0.3]
 
-    def test_array_form_holds_the_tuples_read_only(self):
+    def test_fields_are_read_only_float64_arrays(self):
         inst = validate_instance([(-0.0, 0.2), (0.5, 0.6)], B=1.0, delta=0.2)
-        lefts, rights = inst.endpoint_arrays
-        assert inst.endpoint_arrays is inst.endpoint_arrays
-        assert [v.hex() for v in lefts.tolist()] == [v.hex() for v in inst.lefts]
-        assert rights.tolist() == list(inst.rights)
-        assert lefts.dtype == np.float64 and not lefts.flags.writeable
-        rebuilt = Instance(inst.B, inst.delta, inst.lefts, inst.rights)
-        assert rebuilt.endpoint_arrays[0].tolist() == lefts.tolist()
-        assert not rebuilt.endpoint_arrays[1].flags.writeable
+        assert_read_only_float64(inst)
+        for values in (inst.lefts, inst.rights):
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.3
+        assert [v.hex() for v in inst.lefts.tolist()] == [(0.0).hex(), (0.5).hex()]
+        assert inst.rights.tolist() == [0.2, 0.6]
+        rebuilt = Instance(inst.B, inst.delta, inst.lefts.tolist(),
+                           inst.rights.tolist())
+        assert_read_only_float64(rebuilt)
+        assert rebuilt.lefts.tolist() == inst.lefts.tolist()
+        assert rebuilt == inst and hash(rebuilt) == hash(inst)
 
     def test_agents_are_the_endpoint_tuples_zipped(self, rng):
         lefts = rng.uniform(0, 0.7, 50)
@@ -193,8 +206,54 @@ class TestValidateInstance:
     def test_replace_agent_updates_both_endpoints(self):
         inst = validate_instance([(0.1, 0.2), (0.3, 0.4)], B=1, delta=0.2)
         moved = inst.replace_agent(1, Interval(0.5, 0.6))
-        assert moved.lefts == (0.1, 0.5) and moved.rights == (0.2, 0.6)
+        assert_read_only_float64(moved)
+        assert moved.lefts.tolist() == [0.1, 0.5]
+        assert moved.rights.tolist() == [0.2, 0.6]
         assert moved.agents[1] == Interval(0.5, 0.6)
+
+    def test_replace_agent_leaves_the_original_unchanged(self):
+        inst = validate_instance([(0.1, 0.2), (0.3, 0.4)], B=1, delta=0.2)
+        twin = validate_instance([(0.1, 0.2), (0.3, 0.4)], B=1, delta=0.2)
+        moved = inst.replace_agent(0, Interval(0.5, 0.6))
+        assert inst == twin and moved != inst
+        assert inst.lefts.tolist() == [0.1, 0.3]
+        assert inst.rights.tolist() == [0.2, 0.4]
+        assert inst.agents == (Interval(0.1, 0.2), Interval(0.3, 0.4))
+
+
+class TestHandBuiltInstance:
+    """``Instance(...)`` copies its sequences once into read-only arrays."""
+
+    def test_built_from_arrays_compares_and_hashes_by_value(self):
+        a, b = np.array([0.1, 0.5]), np.array([0.2, 0.6])
+        inst = Instance(1.0, 0.2, a, b)
+        twin = Instance(1.0, 0.2, a.copy(), b.copy())
+        assert_read_only_float64(inst)
+        assert inst == twin and hash(inst) == hash(twin) and len({inst, twin}) == 1
+        checked = validate_instance([(0.1, 0.2), (0.5, 0.6)], B=1.0, delta=0.2)
+        assert inst == checked and hash(inst) == hash(checked)
+        assert inst != Instance(1.0, 0.2, a, np.array([0.2, 0.7]))
+        assert inst != Instance(1.0, 0.3, a, b)
+        assert inst != Instance(1.0, 0.2, a[:1], b[:1])
+        # Bit for bit: a hand-built -0.0 is not 0.0.
+        assert Instance(1.0, 0.0, [-0.0], [0.0]) != Instance(1.0, 0.0, [0.0], [0.0])
+
+    def test_writing_the_source_array_leaves_the_instance_unchanged(self):
+        a, b = np.array([0.1, 0.5]), [0.2, 0.6]
+        inst = Instance(1.0, 0.2, a, b)
+        before = hash(inst)
+        a[0], b[1] = 0.9, 0.95
+        assert a.flags.writeable
+        assert inst.lefts.tolist() == [0.1, 0.5] and inst.rights.tolist() == [0.2, 0.6]
+        assert hash(inst) == before
+        assert inst == Instance(1.0, 0.2, [0.1, 0.5], [0.2, 0.6])
+
+    def test_copies_and_pickles_stay_read_only(self):
+        inst = validate_instance([(0.1, 0.2), (0.5, 0.6)], B=1.0, delta=0.2)
+        for other in (copy.copy(inst), copy.deepcopy(inst),
+                      pickle.loads(pickle.dumps(inst))):
+            assert_read_only_float64(other)
+            assert other == inst and hash(other) == hash(inst)
 
 
 def largest_B(n):
