@@ -9,13 +9,11 @@ audits mechanisms for profitable deviations.
 
 from .core import (
     Grid,
-    GridMismatchError,
     Instance,
     Interval,
     InvalidInstanceError,
     SortedEndpoints,
     build_grid,
-    snap,
     sorted_endpoints,
     upper_median,
     validate_instance,

@@ -78,10 +78,19 @@ def _number(value, name: str, kinds: tuple = (int, float)):
     return value
 
 
+def _read_json(path: str | Path):
+    """Parse a JSON file; nesting too deep for the parser is refused as
+    ``InvalidInstanceError`` rather than left to end in a traceback."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise InvalidInstanceError(f"{path}: JSON nested too deeply") from None
+
+
 def load_instance(path: str | Path) -> Instance:
     """Read and validate an instance JSON file; bools and strings are rejected."""
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = _read_json(path)
     try:
         raw = [(_number(e["a"], f"agent {i}: a"), _number(e["b"], f"agent {i}: b"))
                for i, e in enumerate(data["agents"])]
@@ -469,8 +478,7 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as fh:
-        config = ExperimentConfig.from_json(json.load(fh))
+    config = ExperimentConfig.from_json(_read_json(args.config))
     rows = run_experiment(config)
     csv_text = rows_to_csv(rows, with_oracle=config.oracle_step is not None)
     Path(args.out).write_text(csv_text, encoding="utf-8")

@@ -3,14 +3,16 @@
 Agents report closed intervals on the segment [0, B] instead of exact
 points; every report is at most ``delta`` wide.  This module holds the
 validated instance model, the sorted endpoint view that every regret
-formula consumes, the equispaced grids used by the snapping mechanisms,
-and the shared upper-median convention.  An instance stores its left and
-right endpoints as two read-only float64 arrays; validation checks them
-with numpy masks and hands the checked arrays to the instance, and the
-solver, the mechanisms and the CLI read those arrays.  The per-agent
-``Interval`` objects are built only when ``agents`` is first read.  Grids
-exist for ``delta > 0`` only: at ``delta = 0`` every report is a point and
-represents itself, so there is no grid to snap to.
+formula consumes, the one builder of the equispaced grids that the
+snapping mechanisms use (``build_grid``) with the rule that snaps a point
+to its nearest grid point, and the shared upper-median convention.  An
+instance stores its left and right endpoints as two read-only float64
+arrays; validation checks them with numpy masks and hands the checked
+arrays to the instance, and the solver, the mechanisms and the CLI read
+those arrays.  The per-agent ``Interval`` objects are built only when
+``agents`` is first read.  The mechanisms build a grid for ``delta > 0``
+only: at ``delta = 0`` every report is a point and represents itself, so
+there is no grid to snap to.
 
 All types are immutable and all operations are pure functions, so
 everything here can be used concurrently without synchronization.  The
@@ -32,13 +34,11 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "GridMismatchError",
     "Instance",
     "Interval",
     "InvalidInstanceError",
     "SortedEndpoints",
     "build_grid",
-    "snap",
     "sorted_endpoints",
     "upper_median",
     "validate_instance",
@@ -57,10 +57,6 @@ class InvalidInstanceError(ValueError):
     def __init__(self, message: str, agent: int | None = None):
         super().__init__(message)
         self.agent = agent
-
-
-class GridMismatchError(RuntimeError):
-    """An interval spans more grid points than its inaccuracy bound allows."""
 
 
 @dataclass(frozen=True)
@@ -302,32 +298,25 @@ def upper_median(values: Sequence[float]) -> float:
     return sorted(values)[len(values) // 2]
 
 
-def build_grid(B: float, delta: float, anchor: str = "zero") -> Grid:
-    """Build the spacing-``delta/2`` grid anchored at 0 or at B/2.
+def build_grid(B: float, *, spacing: float, anchor: str) -> Grid:
+    """Build the grid of pitch ``spacing`` anchored at 0 or at B/2.
 
-    The zero grid is {0, d, 2d, ...} up to the largest multiple of d that
+    The zero grid is {0, s, 2s, ...} up to the largest multiple of s that
     fits below B; the half grid extends symmetrically from B/2 in steps of
-    d in both directions.  ``B`` must be positive and finite and ``delta``
-    must lie in (0, B]: at ``delta = 0`` reports are exact and represent
-    themselves, so there is no grid.  A ``delta`` whose half rounds to 0
-    is refused the same way, and a grid of more than ``ORACLE_CAP`` points
-    raises ``OracleScaleError`` before any point is built.
+    s in both directions.  The equispaced mechanisms use ``spacing =
+    delta / 2``; the grid-median attack target passes a finer one.  ``B``
+    must be positive and finite (``InvalidInstanceError``).  A ``spacing``
+    that is not positive and finite raises ``ValueError``, and a grid of
+    more than ``ORACLE_CAP`` points ``OracleScaleError``, both before any
+    point is built.  Both options are keyword-only, so a width bound cannot
+    be passed where the spacing, half of it, belongs.
     """
-    if anchor not in ("zero", "half"):
-        raise ValueError(f"unknown grid anchor {anchor!r}")
-    _check_domain(B, delta)
-    spacing = delta / 2.0
-    if spacing == 0:
-        raise ValueError(
-            f"delta = {delta} has no grid: exact reports represent themselves"
-        )
-    return _build_spaced_grid(B, spacing, anchor)
-
-
-def _build_spaced_grid(B: float, spacing: float, anchor: str) -> Grid:
     # Imported here because regret imports this module.
     from .regret import _lattice_steps
 
+    if anchor not in ("zero", "half"):
+        raise ValueError(f"unknown grid anchor {anchor!r}")
+    _check_domain(B, 0.0)  # B alone: a spacing is not a width bound
     # Counted before any point is built; the whole-domain count is the size
     # check for both anchors.  The counts are tolerant floors: B is often an
     # exact multiple of the spacing in decimal but not in binary, so they
@@ -399,11 +388,6 @@ def _snap_indices(
     right_in = (lo <= pts[m1]) & (pts[m1] <= hi)
     up = np.where(np.abs(frac - 0.5) <= _TIE_BAND, right_in & ~left_in, frac >= 0.5)
     return np.where(points <= pts[0], 0, np.where(points >= pts[-1], last, m + up))
-
-
-def snap(point: float, owning_interval: Interval, grid: Grid) -> float:
-    """Snap ``point`` to the nearest grid point."""
-    return grid.points[_snap_index(point, owning_interval, grid)]
 
 
 def merged_upper_median(sorted_values: Sequence[float], extra: float) -> float:

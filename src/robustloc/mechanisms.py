@@ -29,13 +29,12 @@ import numpy as np
 
 from .core import (
     Grid,
-    GridMismatchError,
     Instance,
     Interval,
-    _build_spaced_grid,
     _check_domain,
     _snap_index,
     _snap_indices,
+    build_grid,
     merged_upper_median,
 )
 
@@ -87,11 +86,11 @@ class MechanismSpec:
 
     ``spacing`` is allowed for the equispaced median only and replaces its
     ``delta/2`` grid pitch.  With ``spacing = delta/2`` the mechanism
-    behaves exactly like the equispaced median; finer spacings make
-    reports cover more than three grid points, where the representative
-    falls back to the left median of the covered points.  Such specs are
-    offered as audit targets only: no dominance guarantee is claimed for
-    spacings below ``delta/2``.
+    behaves exactly like the equispaced median; finer spacings let a
+    report cover more grid points, and the representative rule, the left
+    median of the covered points for any count but two, is the same.  Such
+    specs are offered as audit targets only: no dominance guarantee is
+    claimed for spacings below ``delta/2``.
     """
 
     kind: MechanismKind
@@ -175,10 +174,10 @@ class MechanismSpec:
 
         Callers resolve once and reuse the rules for every report, so no
         per-report dispatch on ``kind`` is paid.  The constant's rules map
-        every report, and every profile, to its location.  A grid spacing
-        that is not positive (``delta / 2`` can round to 0) raises
-        ``ValueError``, and a grid of more than ``ORACLE_CAP`` points
-        ``OracleScaleError``.
+        every report, and every profile, to its location.  The grid comes
+        from ``build_grid``: a spacing that is not positive (``delta / 2``
+        can round to 0) raises ``ValueError``, and a grid of more than
+        ``ORACLE_CAP`` points ``OracleScaleError``.
         """
         kind = self.kind
         if kind is MechanismKind.CONSTANT:
@@ -189,13 +188,12 @@ class MechanismSpec:
         else:
             anchor = "zero" if kind is MechanismKind.EQUISPACED_MEDIAN else "half"
             spacing = self.delta / 2.0 if self.spacing is None else self.spacing
-            grid = _build_spaced_grid(self.B, spacing, anchor)
-            allow_wide = self.spacing is not None
+            grid = build_grid(self.B, spacing=spacing, anchor=anchor)
 
             # A closure, not a keyword partial: it runs once per deviation
             # in an audit, and a keyword partial copies its keywords per call.
             def represent(report: Interval) -> float:
-                return select_representative(report, grid, allow_wide)
+                return select_representative(report, grid)
 
         if kind in _MEDIAN_KINDS:
             return grid, represent, merged_upper_median
@@ -215,65 +213,50 @@ class MechanismOutcome:
     grid: Grid | None
 
 
-def select_representative(
-    interval: Interval, grid: Grid, allow_wide: bool = False
-) -> float:
+def select_representative(interval: Interval, grid: Grid) -> float:
     """The grid point standing in for an interval report.
 
     Snap both endpoints and count the grid points the snapped range [x, y]
     covers.  Two -> x when both x and y lie inside the report or when
     a + b <= x + y, else y; any other count -> the left median of the
-    covered points (x for one, the middle point for three).  A spacing of
-    half the width bound guarantees at most three; wider coverage means the
-    grid is finer than the reports allow and is only legal for attack
-    targets (``allow_wide``).
+    covered points (x for one, the middle point for three, the second of
+    four).  Snapping is monotone and a <= b, so every report covers at
+    least one point.  A spacing of half the width bound keeps the count at
+    three or below for reports no wider than ``delta``, up to the tie band;
+    a report inside the validation slack beyond that, or a finer grid, can
+    cover more, and the same rule applies.
     """
     a, b = interval.a, interval.b
     ix = _snap_index(a, interval, grid)
     iy = _snap_index(b, interval, grid)
-    count = iy - ix + 1
     pts = grid.points
-    if count == 2:
+    if iy - ix == 1:
         x, y = pts[ix], pts[iy]
         if interval.contains(x) and interval.contains(y):
             return x
         return x if a + b <= x + y else y
-    if count < 1 or (count > 3 and not allow_wide):
-        raise _cover_mismatch(count)
-    return pts[ix + (count - 1) // 2]
-
-
-def _cover_mismatch(count: int) -> GridMismatchError:
-    return GridMismatchError(
-        f"snapped interval covers {count} grid points; spacing/width mismatch"
-    )
+    return pts[(ix + iy) // 2]
 
 
 def _grid_representatives(
-    lefts: np.ndarray, rights: np.ndarray, grid: Grid, allow_wide: bool
+    lefts: np.ndarray, rights: np.ndarray, grid: Grid
 ) -> np.ndarray:
     """``select_representative`` for a whole profile at once.
 
     Agent ``i`` reports ``[lefts[i], rights[i]]`` (arrays, or sequences of
     floats).  Both endpoints of every report are snapped by one
     ``searchsorted`` rule, and the two-point and left-median rules pick
-    among the covered points with array masks.  A refused cover count
-    raises ``GridMismatchError`` for the first agent that has one.
-    Representatives come back as a float64 array, in agent order.
+    among the covered points with array masks.  Representatives come back
+    as a float64 array, in agent order.
     """
     a, b = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
     pts = np.array(grid.points)
     ix = _snap_indices(a, a, b, pts, grid.spacing)
     iy = _snap_indices(b, a, b, pts, grid.spacing)
-    count = iy - ix + 1
-    refused = (count < 1) | ((count > 3) & (not allow_wide))
-    if refused.any():
-        raise _cover_mismatch(int(count[np.argmax(refused)]))
     x, y = pts[ix], pts[iy]
     both_in = (a <= x) & (x <= b) & (a <= y) & (y <= b)
     two_point = np.where(both_in | (a + b <= x + y), x, y)
-    left_median = pts[ix + (count - 1) // 2]
-    return np.where(count == 2, two_point, left_median)
+    return np.where(iy - ix == 1, two_point, pts[(ix + iy) // 2])
 
 
 def _fixed(value: float, *_) -> float:
@@ -311,9 +294,7 @@ def run_mechanism(spec: MechanismSpec, instance: Instance) -> MechanismOutcome:
     if grid is None:
         reps = instance.lefts
     else:
-        reps = _grid_representatives(
-            instance.lefts, instance.rights, grid, spec.spacing is not None
-        )
+        reps = _grid_representatives(instance.lefts, instance.rights, grid)
     # Any one representative can play the report that joins the others.
     p = float(aggregate(np.sort(reps[1:]), reps[0]))
     return MechanismOutcome(

@@ -843,3 +843,42 @@ class TestCommandLine:
         assert code == EXIT_ORACLE_SCALE
         captured = capsys.readouterr()
         assert "a deviation scan over" in captured.err and not captured.out
+
+    @pytest.mark.parametrize("kind,p", [
+        ("equispaced-median", 1e-06), ("equispaced-phantom-half", 0.0005),
+    ])
+    def test_small_delta_report_covering_four_points(self, kind, p, tmp_path, capsys):
+        # At delta = 1e-6 on B = 1e-3 the validation slack (1e-12) exceeds
+        # the tie band (1e-9 of the 5e-7 spacing), so agent 1's accepted
+        # report covers four grid points; it takes their left median.
+        path = write_instance(tmp_path / "small.json", {
+            "B": 0.001, "delta": 1e-06, "agents": [
+                {"a": 0.0, "b": 0.0},
+                {"a": 7.499999989999999e-07, "b": 1.750000001e-06},
+                {"a": 0.001, "b": 0.001},
+            ],
+        })
+        assert main(["mechanism", "--kind", kind, "--instance", path]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["p"] == p and not captured.err
+        assert main(["audit", "--kind", kind, "--instance", path,
+                     "--agent", "1"]) == EXIT_OK
+        captured = capsys.readouterr()
+        reports = json.loads(captured.out)["reports"]
+        assert [r["violated"] for r in reports] == [False] and not captured.err
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--objective", "avg", "--instance"],
+        ["experiment", "--out", "unused.csv", "--config"],
+    ], ids=["solve", "experiment"])
+    def test_deeply_nested_json_refused(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "nested.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        assert main(command + [str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert not captured.out
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert "nested too deeply" in lines[0]
+        assert not (tmp_path / "unused.csv").exists()

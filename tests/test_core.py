@@ -1,4 +1,6 @@
+import ast
 import copy
+import importlib
 import math
 import pickle
 import re
@@ -14,7 +16,6 @@ from hypothesis import strategies as st
 
 from robustloc import (
     Grid,
-    GridMismatchError,
     Instance,
     Interval,
     InvalidInstanceError,
@@ -28,14 +29,14 @@ from robustloc import (
     random_instance,
     run_mechanism,
     select_representative,
-    snap,
     solve_minimax_avgcost,
     solve_minimax_maxcost,
     sorted_endpoints,
     upper_median,
     validate_instance,
 )
-from robustloc.core import _build_spaced_grid, merged_upper_median
+import robustloc
+from robustloc.core import _snap_index, merged_upper_median
 
 
 def assert_read_only_float64(inst):
@@ -441,14 +442,14 @@ class TestUpperMedian:
 
 class TestBuildGrid:
     def test_zero_anchor_example(self):
-        g = build_grid(1.0, 0.2, "zero")
+        g = build_grid(1.0, spacing=0.1, anchor="zero")
         assert g.size == 11
         assert g.points[0] == 0.0
         assert abs(g.points[-1] - 1.0) < 1e-12
         assert g.spacing == 0.1
 
     def test_half_anchor_example(self):
-        g = build_grid(1.0, 0.3, "half")
+        g = build_grid(1.0, spacing=0.15, anchor="half")
         expected = [0.05, 0.20, 0.35, 0.50, 0.65, 0.80, 0.95]
         assert g.size == 7
         for got, want in zip(g.points, expected):
@@ -458,8 +459,8 @@ class TestBuildGrid:
     def test_delta_zero_is_identity(self):
         # There is no identity grid: at delta = 0 exact reports represent
         # themselves, so no grid is built.
-        with pytest.raises(ValueError, match="no grid"):
-            build_grid(1.0, 0.0, "zero")
+        with pytest.raises(ValueError, match="positive and finite, got 0.0"):
+            build_grid(1.0, spacing=0.0, anchor="zero")
         spec = MechanismSpec(MechanismKind.EQUISPACED_MEDIAN, 1.0, 0.0)
         grid, represent, _ = spec.resolve()
         assert grid is None
@@ -467,27 +468,40 @@ class TestBuildGrid:
 
     def test_rejects_unknown_anchor(self):
         with pytest.raises(ValueError, match="unknown grid anchor 'middle'"):
-            build_grid(1, 0.2, "middle")
+            build_grid(1, spacing=0.1, anchor="middle")
 
-    @pytest.mark.parametrize("B,delta", [
-        (math.inf, 0.2), (math.nan, 0.2), (1.0, math.nan), (1.0, 5e-324),
+    @pytest.mark.parametrize("B,spacing", [
+        (math.inf, 0.1), (math.nan, 0.1), (0.0, 0.1), (1.0, math.nan),
+        (1.0, math.inf), (1.0, -0.1),
+        # delta = 5e-324, the smallest float, halves to a spacing of 0.0.
+        (1.0, 0.0),
     ])
-    def test_rejects_bad_domain(self, B, delta):
+    @pytest.mark.parametrize("anchor", ["zero", "half"])
+    def test_rejects_bad_domain(self, B, spacing, anchor):
         with pytest.raises(ValueError):
-            build_grid(B, delta)
+            build_grid(B, spacing=spacing, anchor=anchor)
+
+    def test_width_bound_cannot_pass_for_spacing(self):
+        # A width bound passed where the spacing, half of it, belongs would
+        # build a grid twice as coarse; both options are keyword-only, so
+        # such a call fails loudly.
+        with pytest.raises(TypeError):
+            build_grid(1.0, 0.2)
+        with pytest.raises(TypeError):
+            build_grid(1.0, 0.2, "zero")
 
     @pytest.mark.parametrize("anchor", ["zero", "half"])
     def test_point_count_checked_before_building(self, anchor):
         # About 2e300 points: refused from the count, not by running out of
         # memory while building them.
         with pytest.raises(OracleScaleError):
-            build_grid(1.0, 1e-300, anchor)
+            build_grid(1.0, spacing=5e-301, anchor=anchor)
 
     @pytest.mark.parametrize("anchor", ["zero", "half"])
     @pytest.mark.parametrize("delta", [0.05, 0.1, 0.2, 0.3, 0.7])
     def test_spacing_and_point_budget(self, anchor, delta):
         B = 1.0
-        g = build_grid(B, delta, anchor)
+        g = build_grid(B, spacing=delta / 2, anchor=anchor)
         assert g.spacing == delta / 2
         assert g.size <= math.floor(2 * B / delta) + 1
         for a, b in zip(g.points, g.points[1:]):
@@ -499,38 +513,42 @@ class TestBuildGrid:
             assert any(abs(p - B / 2) < 1e-12 for p in g.points)
 
 
+def snapped_point(point, owning_interval, grid):
+    return grid.points[_snap_index(point, owning_interval, grid)]
+
+
 class TestSnap:
     def setup_method(self):
-        self.grid = build_grid(1.0, 0.2, "zero")
+        self.grid = build_grid(1.0, spacing=0.1, anchor="zero")
 
     def test_nearest(self):
-        assert snap(0.12, Interval(0.12, 0.28), self.grid) == 0.1
+        assert snapped_point(0.12, Interval(0.12, 0.28), self.grid) == 0.1
 
     def test_tie_prefers_point_inside_interval(self):
-        assert snap(0.15, Interval(0.15, 0.30), self.grid) == pytest.approx(0.2)
+        assert snapped_point(0.15, Interval(0.15, 0.30), self.grid) == pytest.approx(0.2)
 
     def test_tie_with_neither_inside_breaks_left(self):
-        assert snap(0.15, Interval(0.15, 0.15), self.grid) == pytest.approx(0.1)
+        assert snapped_point(0.15, Interval(0.15, 0.15), self.grid) == pytest.approx(0.1)
 
     def test_tie_with_both_inside_breaks_left(self):
-        assert snap(0.15, Interval(0.05, 0.25), self.grid) == pytest.approx(0.1)
+        assert snapped_point(0.15, Interval(0.05, 0.25), self.grid) == pytest.approx(0.1)
 
     @given(st.floats(0, 1, allow_nan=False))
     def test_idempotent(self, p):
         iv = Interval(p, p)
-        q = snap(p, iv, self.grid)
-        assert snap(q, Interval(q, q), self.grid) == q
+        q = snapped_point(p, iv, self.grid)
+        assert snapped_point(q, Interval(q, q), self.grid) == q
 
     @given(st.floats(0, 1, allow_nan=False))
     @settings(max_examples=200)
     def test_never_moves_more_than_quarter_delta(self, p):
-        q = snap(p, Interval(p, p), self.grid)
+        q = snapped_point(p, Interval(p, p), self.grid)
         assert abs(q - p) <= 0.2 / 4 + 1e-12
 
     def test_outside_grid_clamps_to_extreme(self):
         g = Grid(points=(0.2, 0.3, 0.4), anchor="zero", spacing=0.1)
-        assert snap(0.05, Interval(0.05, 0.05), g) == 0.2
-        assert snap(0.9, Interval(0.9, 0.9), g) == 0.4
+        assert snapped_point(0.05, Interval(0.05, 0.05), g) == 0.2
+        assert snapped_point(0.9, Interval(0.9, 0.9), g) == 0.4
 
 
 def nearest_reference(point, interval, grid):
@@ -551,9 +569,9 @@ def nearest_reference(point, interval, grid):
 def reference_grids():
     for B in (1.0, 0.9, 0.7):
         for delta in (0.1, 0.2, 0.3):
-            yield build_grid(B, delta, "zero"), B, delta
-            yield build_grid(B, delta, "half"), B, delta
-            yield _build_spaced_grid(B, delta / 4.0, "zero"), B, delta
+            yield build_grid(B, spacing=delta / 2, anchor="zero"), B, delta
+            yield build_grid(B, spacing=delta / 2, anchor="half"), B, delta
+            yield build_grid(B, spacing=delta / 4.0, anchor="zero"), B, delta
 
 
 def probes(grid, B):
@@ -577,7 +595,7 @@ class TestSnapReference:
                     Interval(max(p - s, 0.0), min(p + s, B)),
                 ):
                     want = grid.points[nearest_reference(p, iv, grid)]
-                    assert snap(p, iv, grid) == want, (grid.anchor, s, p, iv)
+                    assert snapped_point(p, iv, grid) == want, (grid.anchor, s, p, iv)
                     checked += 1
         assert checked > 5_000
 
@@ -598,9 +616,33 @@ class TestSnapReference:
                     if count == 2:
                         continue
                     seen.add(min(count, 4))
-                    if count > 3:
-                        with pytest.raises(GridMismatchError):
-                            select_representative(iv, grid)
-                    got = select_representative(iv, grid, allow_wide=count > 3)
+                    got = select_representative(iv, grid)
                     assert got == covered[(count - 1) // 2], (grid.spacing, a, b)
         assert seen == {1, 3, 4}
+
+
+class TestPublicSurface:
+    def package_imports(self):
+        """(submodule, names) for each ``from .sub import ...`` in the package."""
+        tree = ast.parse(open(robustloc.__file__, encoding="utf-8").read())
+        return [
+            (node.module, [alias.name for alias in node.names])
+            for node in tree.body
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+        ]
+
+    def test_every_package_name_is_exported_by_its_submodule(self):
+        imports = self.package_imports()
+        assert {module for module, _ in imports} == {
+            "core", "dominance", "mechanisms", "optimal", "regret", "cli",
+        }
+        for module, names in imports:
+            exported = importlib.import_module(f"robustloc.{module}").__all__
+            assert sorted(set(names) - set(exported)) == [], module
+
+    def test_every_export_exists(self):
+        for module, _ in self.package_imports():
+            sub = importlib.import_module(f"robustloc.{module}")
+            assert len(set(sub.__all__)) == len(sub.__all__), module
+            missing = [name for name in sub.__all__ if not hasattr(sub, name)]
+            assert missing == [], module

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from robustloc import (
-    GridMismatchError,
     Interval,
     InvalidInstanceError,
     MechanismError,
@@ -11,6 +10,7 @@ from robustloc import (
     MechanismSpec,
     avgcost_max_regret,
     build_grid,
+    check_minimax_dominance,
     maxcost_max_regret,
     random_instance,
     run_mechanism,
@@ -20,7 +20,6 @@ from robustloc import (
     upper_median,
     validate_instance,
 )
-from robustloc.core import _build_spaced_grid
 from robustloc.mechanisms import _grid_representatives
 
 EQ_MED = MechanismKind.EQUISPACED_MEDIAN
@@ -33,7 +32,7 @@ def spec(kind, B=1.0, delta=0.2, location=None):
 
 class TestSelectRepresentative:
     def setup_method(self):
-        self.grid = build_grid(1.0, 0.2, "zero")
+        self.grid = build_grid(1.0, spacing=0.1, anchor="zero")
 
     def test_three_point_cover_takes_middle(self):
         assert select_representative(Interval(0.12, 0.28), self.grid) == pytest.approx(0.2)
@@ -50,18 +49,8 @@ class TestSelectRepresentative:
     def test_single_point_cover(self):
         assert select_representative(Interval(0.17, 0.22), self.grid) == pytest.approx(0.2)
 
-    def test_wide_cover_rejected_without_flag(self):
-        fine = build_grid(1.0, 0.1, "zero")
-        with pytest.raises(GridMismatchError):
-            select_representative(Interval(0.1, 0.3), fine)
-
-    def test_wide_cover_left_median_with_flag(self):
-        fine = build_grid(1.0, 0.1, "zero")
-        got = select_representative(Interval(0.1, 0.3), fine, allow_wide=True)
-        assert got == pytest.approx(0.2)
-
     def test_representative_between_snapped_endpoints(self, rng):
-        grid = build_grid(1.0, 0.3, "half")
+        grid = build_grid(1.0, spacing=0.15, anchor="half")
         for _ in range(200):
             w = float(rng.uniform(0, 0.3))
             a = float(rng.uniform(0, 1 - w))
@@ -264,14 +253,14 @@ class TestMechanismProperties:
 
 
 def array_rule_grids():
-    """(grid, B, delta, allow_wide): the zero and half grids of every
-    (B, delta) pair, plus the finer delta/3 and delta/4 attack targets."""
+    """(grid, B, delta): the zero and half grids of every (B, delta) pair,
+    plus the finer delta/3 and delta/4 attack targets."""
     for B in (1.0, 0.9, 0.7, 2.5, 0.3):
         for delta in (0.02, 0.05, 0.1, 0.2, 0.3):
-            yield build_grid(B, delta, "zero"), B, delta, False
-            yield build_grid(B, delta, "half"), B, delta, False
-            yield _build_spaced_grid(B, delta / 3.0, "zero"), B, delta, True
-            yield _build_spaced_grid(B, delta / 4.0, "zero"), B, delta, True
+            yield build_grid(B, spacing=delta / 2, anchor="zero"), B, delta
+            yield build_grid(B, spacing=delta / 2, anchor="half"), B, delta
+            yield build_grid(B, spacing=delta / 3.0, anchor="zero"), B, delta
+            yield build_grid(B, spacing=delta / 4.0, anchor="zero"), B, delta
 
 
 def probe_points(grid, B):
@@ -301,38 +290,75 @@ def probe_intervals(grid, B, delta, rng):
     return lefts + a.tolist(), rights + (a + w).tolist()
 
 
+class TestSmallDeltaCover:
+    """At delta = 1e-6 on B = 1e-3 the validation slack (1e-12) is wider
+    than the tie band (1e-9 of the 5e-7 spacing), so agent 1's accepted
+    report snaps onto four grid points.  It takes their left median."""
+
+    RAW = [(0.0, 0.0), (7.499999989999999e-07, 1.750000001e-06), (0.001, 0.001)]
+
+    def instance(self):
+        return validate_instance(self.RAW, B=0.001, delta=1e-06)
+
+    @pytest.mark.parametrize("kind", [EQ_MED, EQ_PH])
+    def test_both_forms_take_the_second_of_four_points(self, kind):
+        inst = self.instance()
+        grid, _, _ = spec(kind, B=0.001, delta=1e-06).resolve()
+        report = inst.agents[1]
+        pts = grid.points
+        ia, ib = (min(range(len(pts)), key=lambda i: abs(pts[i] - e))
+                  for e in (report.a, report.b))
+        covered = pts[ia : ib + 1]
+        assert len(covered) == 4
+        got = select_representative(report, grid)
+        assert got == covered[1]
+        assert _grid_representatives(inst.lefts, inst.rights, grid)[1] == got
+        if kind is EQ_MED:
+            assert got == 1e-06
+
+    @pytest.mark.parametrize("kind,p", [(EQ_MED, 1e-06), (EQ_PH, 0.0005)])
+    def test_outcome_and_no_profitable_deviation(self, kind, p):
+        inst = self.instance()
+        target = spec(kind, B=0.001, delta=1e-06)
+        assert run_mechanism(target, inst).p == p
+        for agent in range(inst.n):
+            assert not check_minimax_dominance(target, inst, agent).violated
+
+
 class TestArrayRepresentativeRule:
     """``run_mechanism``'s whole-profile rule against ``select_representative``."""
 
     def test_matches_scalar_rule_on_probe_intervals(self, rng):
         checked = 0
-        for grid, B, delta, allow_wide in array_rule_grids():
+        for grid, B, delta in array_rule_grids():
             lefts, rights = probe_intervals(grid, B, delta, rng)
             want = tuple(
-                select_representative(Interval(a, b), grid, allow_wide)
+                select_representative(Interval(a, b), grid)
                 for a, b in zip(lefts, rights)
             )
-            got = _grid_representatives(lefts, rights, grid, allow_wide)
+            got = _grid_representatives(lefts, rights, grid)
             assert tuple(got.tolist()) == want, (grid.anchor, grid.spacing, B, delta)
             checked += len(want)
         assert checked > 100_000
 
-    def test_refuses_wide_cover_naming_its_count(self):
-        grid = build_grid(1.0, 0.1, "zero")
-        lefts, rights = (0.1, 0.1, 0.3), (0.2, 0.3, 0.4)
-        with pytest.raises(GridMismatchError, match="covers 5 grid points"):
-            _grid_representatives(lefts, rights, grid, allow_wide=False)
-        assert _grid_representatives(lefts, rights, grid, True).tolist() == [
-            select_representative(Interval(0.1, 0.2), grid),
-            select_representative(Interval(0.1, 0.3), grid, allow_wide=True),
-            select_representative(Interval(0.3, 0.4), grid),
+    def test_wide_cover_takes_left_median_in_both_forms(self):
+        # [0.1, 0.3] covers 0.1, 0.15, 0.2, 0.25, 0.3 on a 0.05 grid, and
+        # [0.1, 0.25] the first four of them.
+        grid = build_grid(1.0, spacing=0.05, anchor="zero")
+        lefts, rights = (0.1, 0.1, 0.1, 0.3), (0.2, 0.3, 0.25, 0.4)
+        want = [0.15, 0.2, 0.15, 0.35]
+        got = _grid_representatives(lefts, rights, grid).tolist()
+        assert got == pytest.approx(want, abs=1e-12)
+        assert got == [
+            select_representative(Interval(a, b), grid)
+            for a, b in zip(lefts, rights)
         ]
 
     def test_single_point_grid(self):
         # A spacing above B leaves one grid point; every report maps to it.
-        grid = _build_spaced_grid(1.0, 1.5, "zero")
+        grid = build_grid(1.0, spacing=1.5, anchor="zero")
         assert grid.points == (0.0,)
-        got = _grid_representatives((0.0, 0.4, 1.0), (0.2, 0.9, 1.0), grid, True)
+        got = _grid_representatives((0.0, 0.4, 1.0), (0.2, 0.9, 1.0), grid)
         assert got.tolist() == [0.0, 0.0, 0.0]
 
     def test_run_mechanism_returns_floats(self, rng):
