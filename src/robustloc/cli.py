@@ -328,7 +328,9 @@ def _fmt(x: float | None) -> str:
     return "" if x is None else f"{x:.12g}"
 
 
-def rows_to_csv(rows: Sequence[ExperimentRow], with_oracle: bool = False) -> str:
+def rows_to_csv(rows: Sequence[ExperimentRow]) -> str:
+    """The rows as CSV, with an ``oracle_omv`` column when any row has one."""
+    with_oracle = any(r.oracle_omv is not None for r in rows)
     header = "trial,n,delta,mechanism,p,max_regret,omv,gap,bound,within_bound"
     if with_oracle:
         header += ",oracle_omv"
@@ -480,7 +482,7 @@ def _cmd_attack(args) -> int:
 def _cmd_experiment(args) -> int:
     config = ExperimentConfig.from_json(_read_json(args.config))
     rows = run_experiment(config)
-    csv_text = rows_to_csv(rows, with_oracle=config.oracle_step is not None)
+    csv_text = rows_to_csv(rows)
     Path(args.out).write_text(csv_text, encoding="utf-8")
     return EXIT_OK
 

@@ -15,6 +15,13 @@ least regret over them is the least over all deviations, and the
 lexicographic scan stops at the first deviation that reaches it.  The
 report equals that of a full scan.
 
+One private ``_audit`` does this for both public checks, which differ only
+in their cost of an outcome: the endpoint regret above, or the distance to
+the agent's point under exact reports.  It resolves the mechanism once and
+sorts the other agents' representatives once, so a deviation costs one
+representative selection and one aggregation.  The walk finds each left
+endpoint's in-width partners by bisection and touches no other endpoint.
+
 The same argument covers the continuum: every report of width at most
 delta, on the deviation grid or off it, has one of those representatives.
 So on a grid kind or the constant, ``best_deviation_regret`` and
@@ -41,6 +48,7 @@ whose spacing is finer than half the width bound.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -118,37 +126,6 @@ def GridAttackTarget(B: float, delta: float, spacing: float) -> MechanismSpec:
     return MechanismSpec(MechanismKind.EQUISPACED_MEDIAN, B, delta, spacing=spacing)
 
 
-class _OutcomeOracle:
-    """Fast outcomes when only one agent's report varies.
-
-    The other agents' representatives never change, so each deviation
-    costs one representative selection plus one aggregation against their
-    cached sorted representatives instead of a full mechanism run.  The
-    mechanism's rules are resolved once, here, not per deviation.
-    """
-
-    def __init__(self, target: MechanismSpec, instance: Instance, agent: int):
-        target.check(instance)
-        grid, self.represent, self._aggregate = target.resolve()
-        # Every representative the mechanism can reach, each reached by its
-        # own exact report.  Empty for the exact kinds, whose reports
-        # represent themselves.
-        if target.kind is MechanismKind.CONSTANT:
-            self.reachable = (target.location,)
-        else:
-            self.reachable = grid.points if grid is not None else ()
-        self._others = sorted(
-            self.represent(iv) for i, iv in enumerate(instance.agents) if i != agent
-        )
-
-    def outcome_of(self, rep: float) -> float:
-        """The outcome when the agent's report has representative ``rep``."""
-        return self._aggregate(self._others, rep)
-
-    def outcome(self, report: Interval) -> float:
-        return self.outcome_of(self.represent(report))
-
-
 def _enumerate_deviations(
     endpoints: Sequence[float], max_width: float, exact_only: bool
 ) -> Iterator[Interval]:
@@ -156,11 +133,22 @@ def _enumerate_deviations(
     order: the degenerate ones only when ``exact_only``, else every
     interval of width at most ``max_width`` (up to 1e-12).
 
-    The deviations are counted before the first is built, from each left
-    endpoint's number of in-width partners; more than ``ORACLE_CAP`` (read
-    at call time) raise :class:`OracleScaleError`.
+    Left endpoint ``a = endpoints[i]`` pairs with ``endpoints[i:stop]``, one
+    stop rule for the walk and its count: ``i + 1`` when ``exact_only``,
+    else ``j = bisect_right(endpoints, a + limit, i)``, less one when
+    ``endpoints[j - 1] - a > limit`` (``a + limit`` can round onto an
+    endpoint just out of width).  The walk touches only in-width partners.
+    The deviations are counted before the first is built; more than
+    ``ORACLE_CAP`` (read at call time) raise :class:`OracleScaleError`.
     """
     m = len(endpoints)
+    limit = max_width + 1e-12
+
+    def stop(i: int, a: float) -> int:
+        if exact_only:
+            return i + 1
+        j = bisect_right(endpoints, a + limit, i)
+        return j - 1 if endpoints[j - 1] - a > limit else j
 
     def count() -> int:
         if exact_only:
@@ -171,64 +159,68 @@ def _enumerate_deviations(
         pairs = m * (m + 1) // 2
         if pairs <= regret.ORACLE_CAP:
             return pairs
-        # Left endpoint i pairs with every j >= i below endpoints[i] + width.
         ends = np.array(endpoints)
-        ends_within = np.searchsorted(ends, ends + (max_width + 1e-12), side="right")
-        return int(ends_within.sum()) - m * (m - 1) // 2
+        stops = np.searchsorted(ends, ends + limit, side="right")
+        stops -= ends[stops - 1] - ends > limit
+        return int(stops.sum()) - m * (m - 1) // 2
 
     _check_report_count(m, count, f"a deviation scan over {m} endpoints")
-    if exact_only:
-        return (Interval(e, e) for e in endpoints)
-    return _in_width_intervals(endpoints, max_width)
+    return (
+        Interval(a, b)
+        for i, a in enumerate(endpoints)
+        for b in endpoints[i : stop(i, a)]
+    )
 
 
-def _in_width_intervals(
-    endpoints: Sequence[float], max_width: float
-) -> Iterator[Interval]:
-    for i, a in enumerate(endpoints):
-        for b in endpoints[i:]:
-            if b - a > max_width + 1e-12:
-                break
-            yield Interval(a, b)
+def _audit(
+    target: MechanismSpec,
+    instance: Instance,
+    agent: int,
+    grid: DeviationGrid | None,
+    exact_only: bool,
+    cost_for: Callable,
+    tolerance: float,
+) -> DominanceReport:
+    """Scan the agent's deviations in order, keeping the first of least cost.
 
+    Only the agent's report varies, so the other agents' representatives
+    are sorted once and each deviation costs one representative selection
+    plus one aggregation against them; the mechanism's rules are resolved
+    once.  ``cost_for(outcome, own)`` takes the map from a report to its
+    outcome and the agent's own report, and returns the cost of an outcome,
+    never below 0.  Each representative is scored once.  The scan stops at
+    the first deviation reaching the least score over the reachable
+    representatives, or 0 for the exact kinds, which have none (see the
+    module docstring): no deviation scores less, so the report is the one a
+    full scan keeps.
 
-def _audit_setup(
-    target: MechanismSpec, instance: Instance, agent: int, grid: DeviationGrid | None
-) -> tuple[_OutcomeOracle, Interval, tuple[float, ...]]:
-    """Outcome oracle, own report and candidate endpoints."""
+    A ``tolerance`` that is not non-negative and finite is a ``ValueError``.
+    """
     if not 0 <= agent < instance.n:
         raise ValueError(f"agent index {agent} out of range")
     if grid is None:
         pitch = instance.delta / 20.0 if instance.delta > 0 else instance.B / 20.0
         grid = DeviationGrid(endpoint_pitch=pitch)
-    oracle = _OutcomeOracle(target, instance, agent)
+    target.check(instance)
+    mech_grid, represent, aggregate = target.resolve()
+    # Every representative the mechanism can reach, each reached by its own
+    # exact report.  Empty for the exact kinds, whose reports represent
+    # themselves.
+    if target.kind is MechanismKind.CONSTANT:
+        reachable = (target.location,)
+    else:
+        reachable = mech_grid.points if mech_grid is not None else ()
+    others = sorted(
+        represent(iv) for i, iv in enumerate(instance.agents) if i != agent
+    )
     own = instance.agents[agent]
-    endpoints = grid.candidate_endpoints(target.B, oracle.reachable + (own.a, own.b))
+    endpoints = grid.candidate_endpoints(target.B, reachable + (own.a, own.b))
     if own.a not in endpoints or own.b not in endpoints:
         raise ValueError(
             "deviation grid does not contain the agent's own endpoints"
         )
-    return oracle, own, endpoints
-
-
-def _first_minimum(
-    agent: int,
-    truthful: Interval,
-    deviations,
-    oracle: _OutcomeOracle,
-    cost: Callable[[float], float],
-    tolerance: float,
-) -> DominanceReport:
-    """Scan deviations in order, keeping the first one of least cost.
-
-    ``cost`` scores an outcome, never below 0; each representative is
-    scored once.  The scan stops at the first deviation reaching the least
-    score over the reachable representatives, or 0 for the exact kinds,
-    which have none (see the module docstring): no deviation scores less,
-    so the report is the one a full scan keeps.
-
-    A ``tolerance`` that is not non-negative and finite is a ``ValueError``.
-    """
+    cost = cost_for(lambda report: aggregate(others, represent(report)), own)
+    deviations = _enumerate_deviations(endpoints, instance.delta, exact_only)
     if not 0 <= tolerance < math.inf:
         raise ValueError(
             f"tolerance must be non-negative and finite, got {tolerance}"
@@ -237,15 +229,15 @@ def _first_minimum(
 
     def score(rep: float) -> float:
         if rep not in scores:
-            scores[rep] = cost(oracle.outcome_of(rep))
+            scores[rep] = cost(aggregate(others, rep))
         return scores[rep]
 
-    floor = min(map(score, oracle.reachable), default=0.0)
-    truthful_cost = score(oracle.represent(truthful))
+    floor = min(map(score, reachable), default=0.0)
+    truthful_cost = score(represent(own))
     best_dev = None
     best_cost = math.inf
     for dev in deviations:
-        c = score(oracle.represent(dev))
+        c = score(represent(dev))
         if c < best_cost:
             best_cost = c
             best_dev = dev
@@ -281,15 +273,14 @@ def check_minimax_dominance(
     agent's worst-case regret depends only on the outcomes of the agent's
     two exact endpoint reports.
     """
-    oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
-    at_a = oracle.outcome(Interval(own.a, own.a))
-    at_b = oracle.outcome(Interval(own.b, own.b))
+    def regret_for(outcome, own):
+        at_a = outcome(Interval(own.a, own.a))
+        at_b = outcome(Interval(own.b, own.b))
+        return lambda p: agent_max_regret(p, own, at_a, at_b)
 
-    def regret_at(outcome: float) -> float:
-        return agent_max_regret(outcome, own, at_a, at_b)
-
-    deviations = _enumerate_deviations(endpoints, instance.delta, target.exact_only)
-    return _first_minimum(agent, own, deviations, oracle, regret_at, tolerance)
+    return _audit(
+        target, instance, agent, grid, target.exact_only, regret_for, tolerance
+    )
 
 
 def check_very_weak_dominance_exact(
@@ -307,15 +298,9 @@ def check_very_weak_dominance_exact(
     mechanisms is already reached by one.
     """
     instance = validate_instance([(p, p) for p in points], B=target.B, delta=target.delta)
-    oracle, own, endpoints = _audit_setup(target, instance, agent, grid)
-    loc = own.a
-    return _first_minimum(
-        agent,
-        own,
-        _enumerate_deviations(endpoints, 0.0, exact_only=True),
-        oracle,
-        lambda outcome: abs(loc - outcome),
-        tolerance,
+    return _audit(
+        target, instance, agent, grid, True,
+        lambda outcome, own: lambda p: abs(own.a - p), tolerance,
     )
 
 

@@ -270,7 +270,7 @@ class TestRunExperiment:
 
     def test_oracle_column_when_requested(self):
         rows = run_experiment(self.config(oracle_step=0.01, trials=1))
-        text = rows_to_csv(rows, with_oracle=True)
+        text = rows_to_csv(rows)
         assert text.splitlines()[0].endswith(",oracle_omv")
         assert all(r.oracle_omv is not None for r in rows)
 

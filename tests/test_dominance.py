@@ -27,7 +27,7 @@ from robustloc import (
     run_mechanism,
     validate_instance,
 )
-from robustloc.dominance import _OutcomeOracle, _enumerate_deviations
+from robustloc.dominance import _enumerate_deviations
 
 EQ_MED = MechanismKind.EQUISPACED_MEDIAN
 EQ_PH = MechanismKind.EQUISPACED_PHANTOM_HALF
@@ -37,21 +37,38 @@ def spec(kind, B=1.0, delta=0.2, location=None):
     return MechanismSpec(kind=kind, B=B, delta=delta, location=location)
 
 
+def outcome_rule(target, instance, agent):
+    """The outcome of each report of ``agent`` against the others' fixed
+    ones: the spec's rules applied to the others' sorted representatives."""
+    target.check(instance)
+    _, represent, aggregate = target.resolve()
+    others = sorted(
+        represent(iv) for i, iv in enumerate(instance.agents) if i != agent
+    )
+    return lambda report: aggregate(others, represent(report))
+
+
 def full_scan(target, instance, agent, grid, tolerance, cost_factory, exact_only):
     """Reference audit: score every deviation, keep the first least one.
 
-    No memo and no floor.  ``cost_factory(oracle, own, endpoints)`` returns
-    the cost of a report.
+    No memo, no floor and no bisection: every pair of candidate endpoints is
+    tested for width.  ``cost_factory(outcome, own, endpoints)`` returns the
+    cost of a report.
     """
-    oracle = _OutcomeOracle(target, instance, agent)
+    outcome = outcome_rule(target, instance, agent)
     own = instance.agents[agent]
     mech_grid = target.resolve()[0]
     mech_points = mech_grid.points if mech_grid is not None else ()
     endpoints = grid.candidate_endpoints(target.B, mech_points + (own.a, own.b))
-    cost = cost_factory(oracle, own, endpoints)
+    cost = cost_factory(outcome, own, endpoints)
     truthful = cost(own)
     best, best_cost = None, math.inf
-    for dev in _enumerate_deviations(endpoints, instance.delta, exact_only):
+    limit = instance.delta + 1e-12
+    for a, b in itertools.combinations_with_replacement(endpoints, 2):
+        in_scan = a == b if exact_only else b - a <= limit
+        if not in_scan:
+            continue
+        dev = Interval(a, b)
         c = cost(dev)
         if c < best_cost:
             best, best_cost = dev, c
@@ -74,21 +91,21 @@ def full_minimax_scan(target, instance, agent, grid, sampled=False):
     """``full_scan`` under worst-case regret: by the endpoint rule, or with
     ``sampled`` by ``sampled_agent_max_regret`` at the deviation pitch over
     the exact reports of every candidate endpoint."""
-    def factory(oracle, own, endpoints):
+    def factory(outcome, own, endpoints):
         if sampled:
-            responses = [oracle.outcome(Interval(e, e)) for e in endpoints]
+            responses = [outcome(Interval(e, e)) for e in endpoints]
 
             def regret(outcome):
                 return sampled_agent_max_regret(
                     outcome, responses, own, grid.endpoint_pitch
                 )
         else:
-            at_a = oracle.outcome(Interval(own.a, own.a))
-            at_b = oracle.outcome(Interval(own.b, own.b))
+            at_a = outcome(Interval(own.a, own.a))
+            at_b = outcome(Interval(own.b, own.b))
 
-            def regret(outcome):
-                return agent_max_regret(outcome, own, at_a, at_b)
-        return lambda report: regret(oracle.outcome(report))
+            def regret(p):
+                return agent_max_regret(p, own, at_a, at_b)
+        return lambda report: regret(outcome(report))
     return full_scan(
         target, instance, agent, grid, 1e-9, factory, target.exact_only
     )
@@ -97,8 +114,8 @@ def full_minimax_scan(target, instance, agent, grid, sampled=False):
 def full_very_weak_scan(target, points, agent, grid):
     instance = validate_instance([(p, p) for p in points], target.B, target.delta)
 
-    def factory(oracle, own, endpoints):
-        return lambda report: abs(own.a - oracle.outcome(report))
+    def factory(outcome, own, endpoints):
+        return lambda report: abs(own.a - outcome(report))
     return full_scan(target, instance, agent, grid, 1e-12, factory, True)
 
 
@@ -195,9 +212,8 @@ class TestMinimaxDominanceAudit:
 
     def test_fast_outcome_path_matches_full_mechanism_run(self, rng):
         # The audit swaps one report at a time against cached representatives;
-        # that shortcut must agree with a from-scratch mechanism run.
-        from robustloc.dominance import _OutcomeOracle
-
+        # that shortcut, the rule the full-scan reference uses, must agree
+        # with a from-scratch mechanism run.
         delta = 0.2
         targets = [
             spec(MechanismKind.CONSTANT, location=0.3),
@@ -220,9 +236,9 @@ class TestMinimaxDominanceAudit:
             )
             for s in targets:
                 base, dev = (points, Interval(a, a)) if s.exact_only else (inst, report)
-                oracle = _OutcomeOracle(s, base, agent)
+                outcome = outcome_rule(s, base, agent)
                 full = run_mechanism(s, base.replace_agent(agent, dev))
-                assert oracle.outcome(dev) == full.p, s
+                assert outcome(dev) == full.p, s
             # The docstring's claim: spacing delta/2 is the equispaced median.
             half = run_mechanism(targets[-1], inst)
             median = run_mechanism(spec(EQ_MED), inst)
@@ -441,6 +457,32 @@ class TestDeviationGrid:
         monkeypatch.setattr(regret_module, "ORACLE_CAP", total - 1)
         with pytest.raises(OracleScaleError, match="a deviation scan over"):
             _enumerate_deviations(ends, delta, exact_only)
+
+    def test_count_and_walk_agree_where_the_bound_rounds_onto_an_endpoint(
+        self, monkeypatch
+    ):
+        # 0.1 + (0.3 + 1e-12) rounds onto 0.400000000001, yet the pair is
+        # 0.300000000001 wide, beyond the limit: two deviations, not three.
+        ends = (0.1, 0.400000000001)
+        monkeypatch.setattr(regret_module, "ORACLE_CAP", 2)
+        assert list(_enumerate_deviations(ends, 0.3, False)) == [
+            Interval(0.1, 0.1), Interval(0.400000000001, 0.400000000001)
+        ]
+
+    def test_walk_touches_only_in_width_partners(self):
+        sliced = []
+
+        class Counted(tuple):
+            def __getitem__(self, key):
+                item = super().__getitem__(key)
+                if isinstance(key, slice):
+                    sliced.append(len(item))
+                return item
+
+        ends = Counted((i * 1e-4 for i in range(5_001)))
+        deviations = list(_enumerate_deviations(ends, 2.5e-4, False))
+        assert len(deviations) == 15_000
+        assert sum(sliced) <= 2 * len(deviations)
 
     def test_audit_refuses_an_oversized_scan(self, monkeypatch):
         # 103 candidate endpoints with up to 21 partners each: 1 995

@@ -64,9 +64,7 @@ ORACLE_CONFIG = ExperimentConfig(
     (ORACLE_CONFIG, "1f7baf667c5fab4882eb40648d97418a30c006543cbaedcf0b3c36dbd9abf124"),
 ], ids=["avg", "max", "oracle-step"])
 def test_experiment_csv_bytes(config, digest):
-    csv = rows_to_csv(
-        run_experiment(config), with_oracle=config.oracle_step is not None
-    )
+    csv = rows_to_csv(run_experiment(config))
     assert sha256(csv) == digest
 
 
