@@ -15,7 +15,6 @@ from .core import (
     SortedEndpoints,
     build_grid,
     sorted_endpoints,
-    upper_median,
     validate_instance,
 )
 from .dominance import (

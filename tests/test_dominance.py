@@ -160,7 +160,7 @@ class TestMinimaxDominanceAudit:
         s = spec(EQ_MED)
         rep = check_minimax_dominance(s, inst, agent=1, grid=DeviationGrid(0.05))
         dev = rep.best_deviation
-        assert 0.0 <= dev.a <= dev.b <= 1.0 and dev.width <= inst.delta + 1e-12
+        assert 0.0 <= dev.a <= dev.b <= 1.0 and dev.b - dev.a <= inst.delta + 1e-12
         deviated = inst.replace_agent(1, rep.best_deviation)
         outcome = run_mechanism(s, deviated).p
         own = inst.agents[1]
@@ -345,7 +345,7 @@ class TestAuditByRepresentative:
         for agent in range(inst.n):
             calls.clear()
             check_minimax_dominance(s, inst, agent, grid=DeviationGrid(0.001))
-            assert len(calls) <= run_mechanism(s, inst).grid.size
+            assert len(calls) <= len(run_mechanism(s, inst).grid.points)
 
     def test_constant_audit_stops_at_its_first_deviation(self, monkeypatch):
         # Every report of the constant is represented by its location, so
@@ -380,6 +380,89 @@ class TestAuditByRepresentative:
         for agent in range(n):
             rep = check_minimax_dominance(spec(kind), inst, agent, grid=grid)
             assert not rep.violated and rep.gain <= 1e-9, (agent, rep)
+
+
+# Profiles in which several agents share a representative: repeated
+# intervals, repeated exact points, and reports that all snap to 0.3 on the
+# delta/2 = 0.1 grid.
+SHARED_PROFILES = [
+    [(0.1, 0.2), (0.1, 0.2), (0.5, 0.6), (0.1, 0.2)],
+    [(0.3, 0.3), (0.3, 0.3), (0.7, 0.7), (0.3, 0.3), (0.0, 0.0)],
+    [(0.28, 0.32), (0.25, 0.35), (0.3, 0.3), (0.9, 0.95), (0.26, 0.33)],
+]
+ALL_KINDS = list(MechanismKind)
+
+
+class TestSharedSetup:
+    """One ``_audit`` over every agent of a profile, each audited against
+    the sorted profile less one copy of its own representative."""
+
+    @pytest.mark.parametrize("profile", SHARED_PROFILES)
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
+    def test_all_agents_match_full_scan(self, kind, profile):
+        s = spec(kind, location=0.45 if kind is MechanismKind.CONSTANT else None)
+        if s.exact_only:
+            profile = [((a + b) / 2,) * 2 for a, b in profile]
+        inst = validate_instance(profile, B=1.0, delta=0.2)
+        grid = DeviationGrid(endpoint_pitch=0.01)
+        reports = list(dominance_module._audit(
+            s, inst, range(inst.n), grid, s.exact_only,
+            dominance_module._endpoint_regret, 1e-9,
+        ))
+        assert reports == [
+            full_minimax_scan(s, inst, agent, grid) for agent in range(inst.n)
+        ]
+        assert reports == [
+            check_minimax_dominance(s, inst, agent, grid=grid)
+            for agent in range(inst.n)
+        ]
+
+    def test_every_agent_index_checked_before_the_first_report(self):
+        inst = validate_instance(SHARED_PROFILES[0], B=1.0, delta=0.2)
+        s = spec(EQ_MED)
+        audits = dominance_module._audit(
+            s, inst, [0, inst.n], None, False,
+            dominance_module._endpoint_regret, 1e-9,
+        )
+        with pytest.raises(ValueError, match="agent index 4 out of range"):
+            next(audits)
+
+    @pytest.mark.parametrize("target", [
+        spec(EQ_MED), spec(EQ_PH), spec(MechanismKind.EXACT_MEDIAN),
+        spec(MechanismKind.EXACT_PHANTOM_HALF),
+        GridAttackTarget(B=1.0, delta=0.2, spacing=0.05),
+    ], ids=["median", "phantom-half", "exact-median", "exact-phantom-half",
+            "spacing"])
+    def test_very_weak_matches_full_scan_on_shared_points(self, target):
+        grid = DeviationGrid(endpoint_pitch=0.01)
+        for pts in ([0.3, 0.3, 0.7, 0.3, 0.0], [0.31, 0.29, 0.3, 0.9]):
+            for agent in range(len(pts)):
+                fast = check_very_weak_dominance_exact(target, pts, agent, grid=grid)
+                assert fast == full_very_weak_scan(target, pts, agent, grid)
+
+
+class TestScaledVerdict:
+    """The verdict allows 8 ulp(B) of rounding above the tolerance, so a
+    profile scaled by a power of two keeps the unscaled verdict."""
+
+    # At scale 1 the gain is 2.8e-17, one rounding; scaled by 2**26 it is
+    # 1.86e-9, above the absolute default tolerance of 1e-9.
+    PROFILE = [
+        (0.09280395349113767, 0.36804435786637074),
+        (0.19765101763570353, 0.20236537835328006),
+    ]
+
+    @pytest.mark.parametrize("k", [0, 26, 30])
+    def test_equispaced_median_is_clean_at_every_scale(self, k):
+        scale = 2.0 ** k
+        inst = validate_instance(
+            [(a * scale, b * scale) for a, b in self.PROFILE],
+            B=scale, delta=0.3 * scale,
+        )
+        rep = check_minimax_dominance(spec(EQ_MED, B=scale, delta=0.3 * scale), inst, 0)
+        assert rep.gain > 0.0 and not rep.violated
+        if k:
+            assert rep.gain > 1e-9
 
 
 class TestContinuumClaim:
