@@ -16,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -426,10 +426,10 @@ def _cmd_audit(args) -> int:
     for rep in _audit(target, instance, agents, grid, target.exact_only,
                       _endpoint_regret, args.tolerance):
         any_violation = any_violation or rep.violated
-        entry = asdict(rep)
         dev = rep.best_deviation
-        entry["best_deviation"] = [dev.a, dev.b] if dev is not None else None
-        reports.append(entry)
+        reports.append(
+            {**vars(rep), "best_deviation": [dev.a, dev.b] if dev is not None else None}
+        )
     _emit({"mechanism": target.name, "reports": reports}, args.out)
     if any_violation and args.strict:
         return EXIT_VIOLATION

@@ -4,15 +4,20 @@ Agents report closed intervals on the segment [0, B] instead of exact
 points; every report is at most ``delta`` wide.  This module holds the
 validated instance model, the sorted endpoint view that every regret
 formula consumes, the one builder of the equispaced grids that the
-snapping mechanisms use (``build_grid``) with the rule that snaps a point
-to its nearest grid point, and the shared upper-median convention.  An
-instance stores its left and right endpoints as two read-only float64
-arrays; validation checks them with numpy masks and hands the checked
-arrays to the instance, and the solver, the mechanisms and the CLI read
-those arrays.  The per-agent ``Interval`` objects are built only when
-``agents`` is first read.  The mechanisms build a grid for ``delta > 0``
-only: at ``delta = 0`` every report is a point and represents itself, so
-there is no grid to snap to.
+snapping mechanisms use (``build_grid``) with the rule that snaps an
+endpoint of a report to its nearest grid point, and the shared
+upper-median convention.  Only a report's own endpoints are ever snapped,
+so the report's right end ``b`` alone breaks a near-tie: bisection gives
+the bracket ``pts[m] <= x < pts[m + 1]`` and a tie rules out
+``x == pts[m]``, so the upper point is inside the report, and the lower
+one is not, exactly when ``pts[m + 1] <= b``.  An instance stores its
+left and right endpoints as two read-only float64 arrays; validation
+checks them with numpy masks and hands the checked arrays to the
+instance, and the solver, the mechanisms and the CLI read those arrays.
+The per-agent ``Interval`` objects are built only when ``agents`` is
+first read.  The mechanisms build a grid for ``delta > 0`` only: at
+``delta = 0`` every report is a point and represents itself, so there is
+no grid to snap to.
 
 All types are immutable and all operations are pure functions, so
 everything here can be used concurrently without synchronization.  The
@@ -68,9 +73,6 @@ class Interval:
     @property
     def is_exact(self) -> bool:
         return self.a == self.b
-
-    def contains(self, x: float) -> bool:
-        return self.a <= x <= self.b
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,14 +327,19 @@ def build_grid(B: float, *, spacing: float, anchor: str) -> Grid:
     return Grid(points=tuple(pts), anchor=anchor, spacing=spacing)
 
 
-def _snap_index(point: float, owning_interval: Interval, grid: Grid) -> int:
-    """Index of the grid point nearest to ``point``.
+def _snap_index(point: float, b: float, grid: Grid) -> int:
+    """Index of the grid point nearest to ``point``, an endpoint of a
+    report whose right end is ``b``.
 
     Points outside the grid clamp to its extremes.  Inside it, bisection
     finds the bracket ``pts[m] <= point < pts[m + 1]``; near-exact ties
     between the two bracketing points (within ``_TIE_BAND`` of the spacing)
-    are broken in favour of the one inside the owning interval when exactly
-    one of them is, and to the left otherwise.
+    go to the upper point when it lies inside the report, that is when
+    ``pts[m + 1] <= b``, and to the lower one otherwise.  A tie rules out
+    ``point == pts[m]``, so the lower point is never inside the report when
+    ``point`` is its left end, and the upper point never is when ``point``
+    is its right end: the upper point is inside exactly when it is the
+    only one of the two that is.
     """
     pts = grid.points
     if point <= pts[0]:
@@ -342,35 +349,25 @@ def _snap_index(point: float, owning_interval: Interval, grid: Grid) -> int:
     m = bisect_right(pts, point) - 1
     frac = (point - pts[m]) / grid.spacing
     if abs(frac - 0.5) <= _TIE_BAND:
-        left_in = owning_interval.contains(pts[m])
-        right_in = owning_interval.contains(pts[m + 1])
-        if right_in and not left_in:
-            return m + 1
-        return m
+        return m + 1 if pts[m + 1] <= b else m
     return m if frac < 0.5 else m + 1
 
 
 def _snap_indices(
-    points: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    pts: np.ndarray,
-    spacing: float,
+    points: np.ndarray, b: np.ndarray, pts: np.ndarray, spacing: float
 ) -> np.ndarray:
     """``_snap_index`` for many points at once.
 
-    Point ``j`` is owned by the interval ``[lo[j], hi[j]]``; ``pts`` and
-    ``spacing`` are the grid's points, as an array, and its spacing.  One
-    ``searchsorted`` finds every bracket; the clamp, the tie band and the
-    tie-break are those of ``_snap_index``.
+    Point ``j`` is an endpoint of a report whose right end is ``b[j]``;
+    ``pts`` and ``spacing`` are the grid's points, as an array, and its
+    spacing.  One ``searchsorted`` finds every bracket; the clamp, the tie
+    band and the tie-break are those of ``_snap_index``.
     """
     last = len(pts) - 1
     m = np.clip(np.searchsorted(pts, points, side="right") - 1, 0, last)
-    m1 = np.minimum(m + 1, last)
     frac = (points - pts[m]) / spacing
-    left_in = (lo <= pts[m]) & (pts[m] <= hi)
-    right_in = (lo <= pts[m1]) & (pts[m1] <= hi)
-    up = np.where(np.abs(frac - 0.5) <= _TIE_BAND, right_in & ~left_in, frac >= 0.5)
+    up_in = pts[np.minimum(m + 1, last)] <= b
+    up = np.where(np.abs(frac - 0.5) <= _TIE_BAND, up_in, frac >= 0.5)
     return np.where(points <= pts[0], 0, np.where(points >= pts[-1], last, m + up))
 
 

@@ -188,13 +188,16 @@ def _audit(
     and each report is represented once, kept in agent order and sorted; an
     agent's others are the sorted list less one copy of its own
     representative, so a deviation costs one representative selection plus
-    one aggregation.  ``cost_for(outcome, own)`` takes the map from a report
-    to its outcome and the agent's own report, and returns the cost of an
-    outcome, never below 0.  Each representative is scored once.  The scan
-    keeps the first deviation of least cost and stops at the first reaching
-    the least score over the reachable representatives, or 0 for the exact
-    kinds, which have none (see the module docstring): no deviation scores
-    less, so the report is the one a full scan keeps.
+    one aggregation.  The candidate endpoints are built once too, and each
+    agent's own endpoints are inserted into a copy where missing; an own
+    endpoint outside [0, B] is a ``ValueError``.  ``cost_for(outcome, own)``
+    takes the map from a report to its outcome and the agent's own report,
+    and returns the cost of an outcome, never below 0.  Each representative
+    is scored once.  The scan keeps the first deviation of least cost and
+    stops at the first reaching the least score over the reachable
+    representatives, or 0 for the exact kinds, which have none (see the
+    module docstring): no deviation scores less, so the report is the one a
+    full scan keeps.
 
     A gain is a violation above ``tolerance + 8 ulp(B)``, since the rounding
     in a regret difference grows with B.  A ``tolerance`` that is not
@@ -217,15 +220,20 @@ def _audit(
         reachable = mech_grid.points if mech_grid is not None else ()
     reps = [represent(iv) for iv in instance.agents]
     profile = sorted(reps)
+    shared_endpoints = list(grid.candidate_endpoints(target.B, reachable))
     for agent in agents:
         others = profile.copy()
         del others[bisect_left(others, reps[agent])]
         own = instance.agents[agent]
-        endpoints = grid.candidate_endpoints(target.B, reachable + (own.a, own.b))
-        if own.a not in endpoints or own.b not in endpoints:
-            raise ValueError(
-                "deviation grid does not contain the agent's own endpoints"
-            )
+        endpoints = shared_endpoints.copy()
+        for x in (own.a, own.b):
+            if not 0.0 <= x <= target.B:
+                raise ValueError(
+                    "deviation grid does not contain the agent's own endpoints"
+                )
+            i = bisect_left(endpoints, x)
+            if i == len(endpoints) or endpoints[i] != x:
+                endpoints.insert(i, x)
         cost = cost_for(lambda report: aggregate(others, represent(report)), own)
         deviations = _enumerate_deviations(endpoints, instance.delta, exact_only)
         if not 0 <= tolerance < math.inf:

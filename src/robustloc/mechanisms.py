@@ -3,11 +3,13 @@
 Every kind is an optional grid plus an aggregator.  Each report is first
 mapped to a representative: the reported point itself for the exact kinds,
 or a grid point for the equispaced kinds (a case analysis on how many grid
-points the snapped interval covers).  An aggregator then combines the
-representatives: the upper median, the median of the extremes and the
-phantom point B/2, or a constant that ignores reports.  With ``delta = 0``
-there is no grid: the equispaced kinds take the exact rule, every report
-representing itself, and so are exactly their classical counterparts.
+points the snapped interval covers; both endpoints are snapped with their
+near-ties broken by the report's right end, see ``core._snap_index``).
+An aggregator then combines the representatives: the upper median, the
+median of the extremes and the phantom point B/2, or a constant that
+ignores reports.  With ``delta = 0`` there is no grid: the equispaced kinds
+take the exact rule, every report representing itself, and so are exactly
+their classical counterparts.
 
 ``select_representative`` maps one report to its grid point; the audit,
 which varies one report at a time, uses it.  ``run_mechanism`` snaps a
@@ -216,23 +218,25 @@ class MechanismOutcome:
 def select_representative(interval: Interval, grid: Grid) -> float:
     """The grid point standing in for an interval report.
 
-    Snap both endpoints and count the grid points the snapped range [x, y]
-    covers.  Two -> x when both x and y lie inside the report or when
-    a + b <= x + y, else y; any other count -> the left median of the
-    covered points (x for one, the middle point for three, the second of
-    four).  Snapping is monotone and a <= b, so every report covers at
-    least one point.  A spacing of half the width bound keeps the count at
-    three or below for reports no wider than ``delta``, up to the tie band;
-    a report inside the validation slack beyond that, or a finer grid, can
-    cover more, and the same rule applies.
+    Snap both endpoints, each near-tie going up exactly when the upper
+    point is at or below ``b``, and count the grid points the snapped range
+    [x, y] covers.  Two -> x when both x and y lie inside the report
+    (``a <= x`` and ``y <= b``, as x < y) or when a + b <= x + y, else y;
+    any other count -> the left median of the covered points (x for one,
+    the middle point for three, the second of four).  Snapping is monotone
+    and a <= b, so every report covers at least one point.  A spacing of
+    half the width bound keeps the count at three or below for reports no
+    wider than ``delta``, up to the tie band; a report inside the validation
+    slack beyond that, or a finer grid, can cover more, and the same rule
+    applies.
     """
     a, b = interval.a, interval.b
-    ix = _snap_index(a, interval, grid)
-    iy = _snap_index(b, interval, grid)
+    ix = _snap_index(a, b, grid)
+    iy = _snap_index(b, b, grid)
     pts = grid.points
     if iy - ix == 1:
         x, y = pts[ix], pts[iy]
-        if interval.contains(x) and interval.contains(y):
+        if a <= x and y <= b:
             return x
         return x if a + b <= x + y else y
     return pts[(ix + iy) // 2]
@@ -251,11 +255,10 @@ def _grid_representatives(
     """
     a, b = np.asarray(lefts, dtype=float), np.asarray(rights, dtype=float)
     pts = np.array(grid.points)
-    ix = _snap_indices(a, a, b, pts, grid.spacing)
-    iy = _snap_indices(b, a, b, pts, grid.spacing)
+    ix = _snap_indices(a, b, pts, grid.spacing)
+    iy = _snap_indices(b, b, pts, grid.spacing)
     x, y = pts[ix], pts[iy]
-    both_in = (a <= x) & (x <= b) & (a <= y) & (y <= b)
-    two_point = np.where(both_in | (a + b <= x + y), x, y)
+    two_point = np.where(((a <= x) & (y <= b)) | (a + b <= x + y), x, y)
     return np.where(iy - ix == 1, two_point, pts[(ix + iy) // 2])
 
 

@@ -2,6 +2,7 @@ import ast
 import copy
 import importlib
 import math
+import os
 import pickle
 import re
 import sys
@@ -35,7 +36,7 @@ from robustloc import (
     validate_instance,
 )
 import robustloc
-from robustloc.core import _snap_index, merged_upper_median
+from robustloc.core import _snap_index, _snap_indices, merged_upper_median
 
 
 def assert_read_only_float64(inst):
@@ -520,7 +521,7 @@ class TestBuildGrid:
 
 
 def snapped_point(point, owning_interval, grid):
-    return grid.points[_snap_index(point, owning_interval, grid)]
+    return grid.points[_snap_index(point, owning_interval.b, grid)]
 
 
 class TestSnap:
@@ -535,9 +536,6 @@ class TestSnap:
 
     def test_tie_with_neither_inside_breaks_left(self):
         assert snapped_point(0.15, Interval(0.15, 0.15), self.grid) == pytest.approx(0.1)
-
-    def test_tie_with_both_inside_breaks_left(self):
-        assert snapped_point(0.15, Interval(0.05, 0.25), self.grid) == pytest.approx(0.1)
 
     @given(st.floats(0, 1, allow_nan=False))
     def test_idempotent(self, p):
@@ -568,7 +566,7 @@ def nearest_reference(point, interval, grid):
     dist = [abs(point - x) for x in pts]
     least = min(dist)
     tied = [i for i, d in enumerate(dist) if d <= least + 1e-9 * grid.spacing]
-    inside = [i for i in tied if interval.contains(pts[i])]
+    inside = [i for i in tied if interval.a <= pts[i] <= interval.b]
     return inside[0] if len(inside) == 1 else tied[0]
 
 
@@ -598,12 +596,32 @@ class TestSnapReference:
                     Interval(p, p),
                     Interval(p, min(p + s, B)),
                     Interval(max(p - s, 0.0), p),
-                    Interval(max(p - s, 0.0), min(p + s, B)),
                 ):
                     want = grid.points[nearest_reference(p, iv, grid)]
                     assert snapped_point(p, iv, grid) == want, (grid.anchor, s, p, iv)
                     checked += 1
         assert checked > 5_000
+
+    def test_endpoints_snap_to_nearest_point(self):
+        # Every pair of probes up to 2 delta apart: wide enough for the
+        # delta/4 grids to reach covers of four points.
+        for grid, B, delta in reference_grids():
+            ends = probes(grid, B)
+            pairs = [
+                (a, b) for i, a in enumerate(ends) for b in ends[i:]
+                if b - a <= 2 * delta
+            ]
+            want_a, want_b = [], []
+            for a, b in pairs:
+                iv = Interval(a, b)
+                want_a.append(nearest_reference(a, iv, grid))
+                want_b.append(nearest_reference(b, iv, grid))
+                assert _snap_index(a, b, grid) == want_a[-1], (grid.spacing, a, b)
+                assert _snap_index(b, b, grid) == want_b[-1], (grid.spacing, a, b)
+            A, R = np.array(pairs).T
+            pts = np.array(grid.points)
+            assert _snap_indices(A, R, pts, grid.spacing).tolist() == want_a
+            assert _snap_indices(R, R, pts, grid.spacing).tolist() == want_b
 
     def test_representative_is_left_median_of_covered_points(self):
         seen = set()
@@ -652,3 +670,12 @@ class TestPublicSurface:
             assert len(set(sub.__all__)) == len(sub.__all__), module
             missing = [name for name in sub.__all__ if not hasattr(sub, name)]
             assert missing == [], module
+
+    def test_readme_quick_tour_runs(self):
+        readme = open(
+            os.path.join(os.path.dirname(__file__), os.pardir, "README.md"),
+            encoding="utf-8",
+        ).read()
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+        assert len(blocks) == 1
+        exec(compile(blocks[0], "README.md", "exec"), {})

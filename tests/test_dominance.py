@@ -427,6 +427,19 @@ class TestSharedSetup:
         with pytest.raises(ValueError, match="agent index 4 out of range"):
             next(audits)
 
+    def test_own_endpoint_beyond_B_raises_at_its_agent(self):
+        # A hand-built instance is taken as given: agent 1's right end lies
+        # beyond B, so agent 0 is reported first and agent 1 then raises.
+        inst = Instance(1.0, 0.2, [0.1, 0.95], [0.2, 1.05])
+        s = spec(EQ_MED)
+        audits = dominance_module._audit(
+            s, inst, range(inst.n), None, False,
+            dominance_module._endpoint_regret, 1e-9,
+        )
+        assert next(audits) == check_minimax_dominance(s, inst, agent=0)
+        with pytest.raises(ValueError, match="does not contain the agent's own"):
+            next(audits)
+
     @pytest.mark.parametrize("target", [
         spec(EQ_MED), spec(EQ_PH), spec(MechanismKind.EXACT_MEDIAN),
         spec(MechanismKind.EXACT_PHANTOM_HALF),
